@@ -72,7 +72,7 @@ class Client {
   /// it in `log`.
   void Write(uint64_t key, LoadResult* log) {
     tmdb::WireRequest request;
-    request.query = WriteStatement(workload_, key);
+    request.query = WriteStatement(key);
     const Clock::time_point start = Clock::now();
     tmdb::Result<tmdb::ClientResult> result = Send(request);
     const double ms = MsSince(start);
@@ -81,7 +81,7 @@ class Client {
       log->Fail("write: " + result.status().ToString());
       return;
     }
-    if (result->message != WriteAcknowledgement(workload_)) {
+    if (result->message != WriteAcknowledgement()) {
       log->Fail("write: unexpected acknowledgement '" + result->message +
                  "'");
       return;

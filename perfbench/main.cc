@@ -9,7 +9,7 @@
 //
 //   perfbench --workload interactive|analytic|spill --seed N --seconds S
 //             --trace 0|1 --spill-dir DIR [--trace-file FILE]
-//             [--source ID] [--setups K] [--corrupt-reference]
+//             [--source ID] [--corrupt-reference]
 
 #include <malloc.h>
 
@@ -58,6 +58,8 @@ constexpr bool kSanitizedBuild = false;
 constexpr bool kSanitizedBuild = false;
 #endif
 
+constexpr int kSetups = 5;
+
 struct Args {
   std::string workload;
   uint64_t seed = 1;
@@ -66,7 +68,6 @@ struct Args {
   std::string spill_dir;
   std::string trace_file;
   std::string source = "unknown";
-  int setups = 3;
   bool corrupt_reference = false;
 };
 
@@ -93,14 +94,12 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->trace_file = value;
     } else if (flag == "--source") {
       args->source = value;
-    } else if (flag == "--setups") {
-      args->setups = std::atoi(value.c_str());
     } else {
       return false;
     }
   }
   return !args->workload.empty() && !args->spill_dir.empty() &&
-         args->seconds > 0 && args->setups >= 1;
+         args->seconds > 0;
 }
 
 double SecondsSince(Clock::time_point start) {
@@ -237,7 +236,7 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: perfbench --workload NAME --seed N --seconds S "
                  "--trace 0|1 --spill-dir DIR [--trace-file FILE] "
-                 "[--source ID] [--setups K] [--corrupt-reference]\n");
+                 "[--source ID] [--corrupt-reference]\n");
     return 2;
   }
   if (!kOptimizedBuild || kSanitizedBuild) {
@@ -273,14 +272,15 @@ int Main(int argc, char** argv) {
 
   // ------------------------------------------------------------- set-up
   // Set-up (load, server start, one checked warm-up pass over every
-  // distinct query) runs `setups` times on identical data; the median is
-  // reported and the last service is kept for the timed phase. The
-  // in-process references are computed once and not timed.
+  // distinct query) runs kSetups times on identical data (once when
+  // tracing); the median is reported and the last service is kept for the
+  // timed phase. The in-process references are computed once and not
+  // timed.
   LoadResult checks = EmptyLoadResult(*workload);
   std::vector<Digest> expected;
   std::vector<double> setup_s;
   Service service;
-  const int setups = args.trace ? 1 : args.setups;
+  const int setups = args.trace ? 1 : kSetups;
   for (int i = 0; i < setups; ++i) {
     service.Stop();
     service.db = std::make_unique<tmdb::Database>();
@@ -354,6 +354,14 @@ int Main(int argc, char** argv) {
     }
     if (RowsDigest(r->rows) != expected[q]) {
       checks.Fail(spec.name + ": layered run gave a wrong answer");
+    }
+    // A query that may spill must spill, and no other query may: a change
+    // that fits the spill workload in memory must not pass unnoticed.
+    if (spec.enable_spill && r->stats.spill_partitions == 0) {
+      checks.Fail(spec.name + ": expected to spill but did not");
+    }
+    if (!spec.enable_spill && r->stats.spill_bytes_written != 0) {
+      checks.Fail(spec.name + ": spilled without enable_spill");
     }
     const std::vector<tmdb::ExecStats>& wire_now = quiescent.observed_stats[q];
     if (!wire_now.empty()) {
@@ -526,9 +534,9 @@ int Main(int argc, char** argv) {
     std::printf("info: write_latency_p50_ms %s ms\n",
                 FormatNumber(Percentile(load.write_ms, 0.5)).c_str());
   }
-  std::printf("info: reads %zu writes %zu in %.3f s; setups %zu\n",
-              load.read_ms.size(), load.write_ms.size(), load.elapsed_s,
-              setup_s.size());
+  std::printf("info: reads %zu writes %zu in %.3f s\n", load.read_ms.size(),
+              load.write_ms.size(), load.elapsed_s);
+  for (double s : setup_s) std::printf("info: setup %.4f s\n", s);
   for (size_t q = 0; q < workload->queries.size(); ++q) {
     std::printf("info: query %s p50 %.3f ms p95 %.3f ms over %zu reads\n",
                 workload->queries[q].name.c_str(),

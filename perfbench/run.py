@@ -97,7 +97,7 @@ def smoke(binary):
             1: {m["name"]: m["unit"] for m in spec["per_layer"]}}
     for workload in [w["name"] for w in spec["workloads"]]:
         for trace in (0, 1):
-            done = run(binary, workload, 7, 1, trace, ["--setups", "2"])
+            done = run(binary, workload, 7, 1, trace)
             lines = done.stdout.strip().splitlines()
             result = json.loads(lines[-1])
             label = f"{workload} trace={trace}"
@@ -113,8 +113,7 @@ def smoke(binary):
                 fail(f"smoke: {label} did not print every metric with its "
                      "unit")
             print(f"smoke: {label} ok ({result['attempted']} requests)")
-    done = run(binary, "interactive", 7, 1, 0,
-               ["--setups", "1", "--corrupt-reference"])
+    done = run(binary, "interactive", 7, 1, 0, ["--corrupt-reference"])
     result = json.loads(done.stdout.strip().splitlines()[-1])
     if done.returncode == 0 or result["correct"] or result["failed"] == 0:
         fail("smoke: a corrupted reference did not fail the correctness gate")

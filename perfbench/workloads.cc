@@ -38,13 +38,6 @@ Status LoadRenamed(Database* db, Loader load,
   return Status::OK();
 }
 
-Status CreateWriteTable(Database* db) {
-  return db
-      ->CreateTable("W", tmdb::Type::Tuple({{"k", tmdb::Type::Int()},
-                                            {"v", tmdb::Type::Int()}}))
-      .status();
-}
-
 // The Section 2 COUNT-bug shape: a Table 1 nest join feeding count.
 constexpr char kCountEq[] =
     "SELECT x FROM R x WHERE x.b = count(SELECT y.d FROM S y "
@@ -123,7 +116,7 @@ WorkloadSpec MakeInteractive() {
   w.name = "interactive";
   w.clients = 4;
   w.num_threads = 1;
-  w.write_table = "S";
+  w.write_every = 20;
   w.load = LoadInteractive;
   auto add = [&w](std::string name, const char* text, std::string strategy,
                   bool reads_s = false) {
@@ -180,8 +173,7 @@ Status LoadAnalytic(Database* db, uint64_t seed) {
   correlated.num_inner = 1000;
   correlated.correlation_scale = 10;
   correlated.seed = SubSeed(seed, 14);
-  TMDB_RETURN_IF_ERROR(tmdb::LoadCorrelatedTables(db, correlated));
-  return CreateWriteTable(db);
+  return tmdb::LoadCorrelatedTables(db, correlated);
 }
 
 WorkloadSpec MakeAnalytic() {
@@ -189,7 +181,6 @@ WorkloadSpec MakeAnalytic() {
   w.name = "analytic";
   w.clients = 1;
   w.num_threads = 4;
-  w.write_table = "W";
   w.load = LoadAnalytic;
   auto add = [&w](std::string name, const char* text, std::string strategy,
                   std::vector<std::string> reference) {
@@ -228,10 +219,9 @@ Status LoadSpill(Database* db, uint64_t seed) {
   tmdb::CountBugConfig sparse = wide;
   sparse.domain_scale = 256;
   sparse.seed = SubSeed(seed, 22);
-  TMDB_RETURN_IF_ERROR(LoadRenamed(
+  return LoadRenamed(
       db, [&](Database* d) { return tmdb::LoadCountBugTables(d, sparse); },
-      {{"R", "R2"}, {"S", "S2"}}));
-  return CreateWriteTable(db);
+      {{"R", "R2"}, {"S", "S2"}});
 }
 
 WorkloadSpec MakeSpill() {
@@ -242,7 +232,6 @@ WorkloadSpec MakeSpill() {
   // past the recursion limit (see README.md, "Known engine defects").
   w.clients = 1;
   w.num_threads = 1;
-  w.write_table = "W";
   w.load = LoadSpill;
   auto add = [&w](std::string name, const char* text, std::string strategy,
                   uint64_t budget_kib) {
@@ -276,20 +265,13 @@ const WorkloadSpec* FindWorkload(const std::string& name) {
   return nullptr;
 }
 
-std::string WriteStatement(const WorkloadSpec& workload, uint64_t key) {
-  const std::string k = std::to_string(key);
-  if (workload.write_table == "S") {
-    // R.c never exceeds the generator's key domain, so a c this large
-    // matches no R row: the reads' results stay fixed.
-    return "INSERT INTO S VALUES (c = " + std::to_string(1000000000 + key) +
-           ", d = " + k + ")";
-  }
-  return "INSERT INTO " + workload.write_table + " VALUES (k = " + k +
-         ", v = " + k + ")";
+std::string WriteStatement(uint64_t key) {
+  // R.c never exceeds the generator's key domain, so a c this large
+  // matches no R row: the reads' results stay fixed.
+  return "INSERT INTO S VALUES (c = " + std::to_string(1000000000 + key) +
+         ", d = " + std::to_string(key) + ")";
 }
 
-std::string WriteAcknowledgement(const WorkloadSpec& workload) {
-  return "inserted 1 row(s) into " + workload.write_table;
-}
+std::string WriteAcknowledgement() { return "inserted 1 row(s) into S"; }
 
 }  // namespace perfbench

@@ -21,7 +21,7 @@ struct QuerySpec {
   /// Per-request budget; 0 = inherit the server's admission grant.
   uint64_t memory_budget_bytes = 0;
   bool enable_spill = false;
-  /// True when the query reads the table the workload's INSERTs grow: its
+  /// True when the query reads S, which the workload's INSERTs grow: its
   /// rows stay fixed but its work counters grow with the table.
   bool reads_write_table = false;
   /// Strategies run in process, unbudgeted, to form the expected result.
@@ -37,10 +37,9 @@ struct WorkloadSpec {
   int clients = 1;
   /// Requested parallelism of every request (also its admission weight).
   uint32_t num_threads = 1;
-  /// Every `write_every`-th request of a client is an INSERT into
-  /// `write_table`, with a key no read's join ever matches.
-  int write_every = 20;
-  std::string write_table;
+  /// Every `write_every`-th request of a client is an INSERT into S, with
+  /// a key no read's join ever matches; 0 = reads only.
+  int write_every = 0;
   std::vector<QuerySpec> queries;
   /// Creates the workload's tables from `seed`.
   tmdb::Status (*load)(tmdb::Database* db, uint64_t seed) = nullptr;
@@ -49,10 +48,10 @@ struct WorkloadSpec {
 /// The workload named `name`, or nullptr.
 const WorkloadSpec* FindWorkload(const std::string& name);
 
-/// The INSERT statement for a workload's `key`-th write (key >= 1; keys
-/// are unique across clients) and the acknowledgement the server returns.
-std::string WriteStatement(const WorkloadSpec& workload, uint64_t key);
-std::string WriteAcknowledgement(const WorkloadSpec& workload);
+/// The INSERT statement for the `key`-th write (key >= 1; keys are unique
+/// across clients) and the acknowledgement the server returns.
+std::string WriteStatement(uint64_t key);
+std::string WriteAcknowledgement();
 
 }  // namespace perfbench
 
