@@ -1,28 +1,29 @@
-// Experiment SCHED — static pre-split dispatch vs the process-wide
-// work-stealing scheduler on a skewed Table-1-shaped workload.
+// Experiment SCHED — the process-wide work-stealing scheduler on a skewed
+// Table-1-shaped workload.
 //
 // The skew model: a probe of the Table 1 nest equijoin where one hot key
 // owns a quarter of the rows and its grouping work costs ~9x a cold row
-// (big group appends, set-value construction). Under the old static
-// dispatch each thread got exactly one pre-cut chunk, so the chunk holding
-// the hot range became a straggler and the other threads idled; with
-// dynamic morsel claiming the hot range is ~64 separate morsels that idle
-// threads steal.
+// (big group appends, set-value construction). A static pre-split would
+// hand the whole hot range to one thread; with dynamic morsel claiming the
+// hot range is ~64 separate morsels that idle threads steal.
 //
-//   BM_StaticSplit/T       one chunk per thread on a legacy ThreadPool
-//   BM_WorkStealing/T      SplitMorsels + scheduler claim loop, cap = T
-//   BM_Interference*       two concurrent 4-way "queries": two private
-//                          static pools vs two caps on the one scheduler
-//   BM_SkewedNestJoinHash  the real operator path end to end at each cap
+//   BM_WorkStealing/T               SplitMorsels + scheduler claim loop,
+//                                   cap = T
+//   BM_InterferenceSharedScheduler  two concurrent 4-way "queries" as two
+//                                   caps on the one scheduler
+//   BM_SkewedNestJoinHash/T         the real operator path end to end,
+//                                   cap = T
 //
-// CI caveat: on a single-core host the scheduler has one worker, stealing
-// never fires, and every variant collapses to serial — the context block's
-// "num_cpus" field in BENCH_sched.json records what a run actually had.
-// The >=2x static-vs-stealing gap at T=4 is a multi-core claim.
+// Reading the bars: on a single-core host the scheduler has one worker and
+// stealing never fires, so the cap > 1 bars show dispatch overhead, not
+// speedup. BM_SkewedNestJoinHash runs the same per-left-row match loop at
+// every cap — cap 1 streams the probe side, cap > 1 materialises it and
+// probes morsels — so on one core its bars differ only by that
+// materialisation and dispatch cost. The context block's "num_cpus" field
+// in BENCH_sched.json records what a run actually had.
 
 #include <atomic>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -30,7 +31,6 @@
 #include <benchmark/benchmark.h>
 
 #include "base/random.h"
-#include "base/thread_pool.h"
 #include "bench/bench_util.h"
 #include "catalog/table.h"
 #include "exec/basic_ops.h"
@@ -67,24 +67,6 @@ uint64_t DoMorsel(MorselRange m) {
   return acc;
 }
 
-/// The retired dispatch discipline, reconstructed on the legacy ThreadPool:
-/// exactly one contiguous chunk per thread, membership fixed before any
-/// work runs, join on every future.
-uint64_t RunStatic(ThreadPool* pool, int threads) {
-  const size_t chunk = (kRows + threads - 1) / threads;
-  std::vector<std::future<uint64_t>> futures;
-  futures.reserve(threads);
-  for (int t = 0; t < threads; ++t) {
-    const size_t begin = std::min(kRows, t * chunk);
-    const size_t end = std::min(kRows, begin + chunk);
-    futures.push_back(
-        pool->Submit([begin, end] { return DoMorsel({begin, end}); }));
-  }
-  uint64_t acc = 0;
-  for (auto& f : futures) acc ^= f.get();
-  return acc;
-}
-
 uint64_t RunStealing(QuerySched* sched) {
   const std::vector<MorselRange> morsels =
       SplitMorsels(kRows, sched->max_parallelism());
@@ -100,16 +82,6 @@ uint64_t RunStealing(QuerySched* sched) {
   return acc;
 }
 
-void BM_StaticSplit(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  ThreadPool pool(threads);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(RunStatic(&pool, threads));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kRows));
-}
-
 void BM_WorkStealing(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   QuerySched sched(threads);
@@ -120,32 +92,13 @@ void BM_WorkStealing(benchmark::State& state) {
                           static_cast<int64_t>(kRows));
 }
 
-BENCHMARK(BM_StaticSplit)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_WorkStealing)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // -------------------------------------------- two-query interference
 
-/// Two concurrent 4-way queries in the old world: each owns a private
-/// 4-thread pool, so the process runs 8 OS threads on however many cores
-/// exist, and neither pool can lend idle threads to the other's straggler.
-void BM_InterferencePrivatePools(benchmark::State& state) {
-  ThreadPool pool_a(4);
-  ThreadPool pool_b(4);
-  for (auto _ : state) {
-    std::thread query_b([&] {
-      benchmark::DoNotOptimize(RunStatic(&pool_b, 4));
-    });
-    benchmark::DoNotOptimize(RunStatic(&pool_a, 4));
-    query_b.join();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(2 * kRows));
-}
-
-/// The same two queries as caps on the one scheduler: both tagged, both
-/// capped at 4, sharing whatever workers the hardware has. A straggler
+/// Two concurrent 4-way queries as caps on the one scheduler: both tagged,
+/// both capped at 4, sharing whatever workers the hardware has. A straggler
 /// morsel in either query is stolen by whoever is idle, regardless of
 /// which query submitted it.
 void BM_InterferenceSharedScheduler(benchmark::State& state) {
@@ -162,8 +115,6 @@ void BM_InterferenceSharedScheduler(benchmark::State& state) {
                           static_cast<int64_t>(2 * kRows));
 }
 
-BENCHMARK(BM_InterferencePrivatePools)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_InterferenceSharedScheduler)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 

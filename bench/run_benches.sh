@@ -105,12 +105,12 @@ trap 'rm -rf "$OUT_DIR" "$SPILL_OUT_DIR" "$SUBPLAN_OUT_DIR" "$COLUMNAR_OUT_DIR" 
 )
 merge "$STRATEGY_OUT_DIR" "$REPO_ROOT/BENCH_strategy.json"
 
-# Scheduler suite: static per-thread pre-splitting (legacy ThreadPool) vs
-# dynamic morsel stealing on a skewed Table-1 workload at 1/2/4/8 threads,
-# the two-query interference pair, and the real skewed hash nest join end
-# to end. Caveat: on a single-core CI host stealing never fires and the
-# static-vs-stealing gap collapses — read the context "num_cpus" field
-# before comparing bars across machines.
+# Scheduler suite: dynamic morsel stealing on a skewed Table-1 workload at
+# 1/2/4/8 threads, two concurrent capped queries on the one scheduler, and
+# the real skewed hash nest join end to end. Caveat: on a single-core CI
+# host stealing never fires and the cap > 1 bars show dispatch overhead,
+# not speedup — read the context "num_cpus" field before comparing bars
+# across machines.
 SCHED_OUT_DIR="$(mktemp -d)"
 trap 'rm -rf "$OUT_DIR" "$SPILL_OUT_DIR" "$SUBPLAN_OUT_DIR" "$COLUMNAR_OUT_DIR" "$STRATEGY_OUT_DIR" "$SCHED_OUT_DIR"' EXIT
 (

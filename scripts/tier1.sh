@@ -35,7 +35,7 @@ cmake --build build-tsan -j --target parallel_exec_test sched_test \
   fault_injection_test \
   spill_codec_test spill_exec_test subplan_cache_test columnar_exec_test \
   differential_exec_test cost_model_test net_service_test \
-  executor_reuse_soak_test
+  executor_reuse_soak_test join_ops_test exec_ops_test exec_edge_test
 ./build-tsan/tests/parallel_exec_test
 # sched_test is the work-stealing scheduler's own suite: deque discipline,
 # per-query caps, the multi-query soak (several tagged queries sharing the
@@ -56,6 +56,11 @@ cmake --build build-tsan -j --target parallel_exec_test sched_test \
 # on failure they print the TMDB_NET_SEED that reproduces the schedule.
 ./build-tsan/tests/net_service_test
 ./build-tsan/tests/executor_reuse_soak_test
+# The operator suites drive every join implementation and basic operator
+# directly — each join mode, serve-buffer drains at several batch sizes.
+./build-tsan/tests/join_ops_test
+./build-tsan/tests/exec_ops_test
+./build-tsan/tests/exec_edge_test
 
 # ASan pass over the same suites: every injected fault must unwind without
 # leaking operator, pool, or spill-file state.
@@ -64,7 +69,7 @@ cmake --build build-asan -j --target parallel_exec_test sched_test \
   fault_injection_test \
   spill_codec_test spill_exec_test subplan_cache_test columnar_exec_test \
   differential_exec_test cost_model_test net_service_test \
-  executor_reuse_soak_test
+  executor_reuse_soak_test join_ops_test exec_ops_test exec_edge_test
 ./build-asan/tests/parallel_exec_test
 ./build-asan/tests/sched_test
 ./build-asan/tests/fault_injection_test
@@ -76,5 +81,8 @@ cmake --build build-asan -j --target parallel_exec_test sched_test \
 ./build-asan/tests/cost_model_test
 ./build-asan/tests/net_service_test
 ./build-asan/tests/executor_reuse_soak_test
+./build-asan/tests/join_ops_test
+./build-asan/tests/exec_ops_test
+./build-asan/tests/exec_edge_test
 
 echo "tier1: OK"

@@ -19,15 +19,25 @@ Result<Value> EvalWithRow(const Expr& expr, const std::string& var,
   return EvalExpr(expr, env, ctx->subplans);
 }
 
-static_assert((kExecBatchSize & (kExecBatchSize - 1)) == 0,
-              "periodic guard checks mask against kExecBatchSize");
-
-// Checkpoint for row-at-a-time loops: one guard check per kExecBatchSize
-// rows examined, upholding the one-batch observation bound at negligible
-// per-row cost.
-inline Status PeriodicGuardCheck(ExecContext* ctx, uint64_t* work) {
-  if ((++*work & (kExecBatchSize - 1)) == 0) return CheckGuard(ctx);
-  return Status::OK();
+/// One NextBatch of a row-at-a-time filtering operator: pulls `child`
+/// batches into `batch` and hands each row to `emit`, which appends zero or
+/// one rows to `out`, until a row is appended (returning 0 would falsely
+/// signal end of stream) or the child ends. Counts rows_emitted.
+template <typename Emit>
+Result<size_t> PullUntilEmitted(PhysicalOp* child, std::vector<Value>* batch,
+                                std::vector<Value>* out, size_t max,
+                                ExecContext* ctx, Emit emit) {
+  while (true) {
+    TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
+    batch->clear();
+    TMDB_ASSIGN_OR_RETURN(size_t got, child->NextBatch(batch, max));
+    if (got == 0) return 0;
+    const size_t before = out->size();
+    for (Value& row : *batch) TMDB_RETURN_IF_ERROR(emit(row));
+    const size_t appended = out->size() - before;
+    ctx->stats->rows_emitted += appended;
+    if (appended > 0) return appended;
+  }
 }
 
 }  // namespace
@@ -39,12 +49,6 @@ Status TableScanOp::Open(ExecContext* ctx) {
   pos_ = 0;
   store_ = try_columnar_ ? table_->columnar_store() : nullptr;
   return Status::OK();
-}
-
-Result<std::optional<Value>> TableScanOp::Next() {
-  if (pos_ >= table_->NumRows()) return std::optional<Value>();
-  ctx_->stats->rows_emitted++;
-  return std::optional<Value>(table_->rows()[pos_++]);
 }
 
 Result<size_t> TableScanOp::NextBatch(std::vector<Value>* out, size_t max) {
@@ -93,12 +97,6 @@ Status ExprSourceOp::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-Result<std::optional<Value>> ExprSourceOp::Next() {
-  if (pos_ >= elements_.size()) return std::optional<Value>();
-  ctx_->stats->rows_emitted++;
-  return std::optional<Value>(elements_[pos_++]);
-}
-
 Result<size_t> ExprSourceOp::NextBatch(std::vector<Value>* out, size_t max) {
   TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
   const size_t take = std::min(max, elements_.size() - pos_);
@@ -119,7 +117,6 @@ std::string ExprSourceOp::Describe() const {
 
 Status FilterOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  work_ = 0;
   columnar_active_ = false;
   pending_ = ColumnBatch{};
   pending_pos_ = 0;
@@ -174,34 +171,6 @@ Result<ColumnBatch> FilterOp::NextColumnBatch() {
   }
 }
 
-Result<std::optional<Value>> FilterOp::Next() {
-  if (columnar_active_) {
-    while (pending_pos_ >= pending_.len) {
-      TMDB_ASSIGN_OR_RETURN(ColumnBatch batch, NextColumnBatch());
-      pending_ = batch;
-      pending_pos_ = 0;
-      if (pending_.len == 0) return std::optional<Value>();
-    }
-    return std::optional<Value>(
-        pending_.store->RowValue(pending_.RowId(pending_pos_++)));
-  }
-  while (true) {
-    TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx_, &work_));
-    TMDB_ASSIGN_OR_RETURN(std::optional<Value> row, child_->Next());
-    if (!row.has_value()) return std::optional<Value>();
-    ctx_->stats->predicate_evals++;
-    TMDB_ASSIGN_OR_RETURN(Value keep, EvalWithRow(pred_, var_, *row, ctx_));
-    if (!keep.is_bool()) {
-      return Status::TypeError(
-          StrCat("filter predicate produced non-boolean ", keep.ToString()));
-    }
-    if (keep.AsBool()) {
-      ctx_->stats->rows_emitted++;
-      return row;
-    }
-  }
-}
-
 Result<size_t> FilterOp::NextBatch(std::vector<Value>* out, size_t max) {
   if (columnar_active_) {
     while (pending_pos_ >= pending_.len) {
@@ -217,29 +186,17 @@ Result<size_t> FilterOp::NextBatch(std::vector<Value>* out, size_t max) {
     }
     return take;
   }
-  // Pull whole input batches until at least one row survives the predicate
-  // (returning 0 would falsely signal end of stream).
-  while (true) {
-    TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-    batch_.clear();
-    TMDB_ASSIGN_OR_RETURN(size_t got, child_->NextBatch(&batch_, max));
-    if (got == 0) return 0;
-    size_t appended = 0;
-    for (Value& row : batch_) {
-      ctx_->stats->predicate_evals++;
-      TMDB_ASSIGN_OR_RETURN(Value keep, EvalWithRow(pred_, var_, row, ctx_));
-      if (!keep.is_bool()) {
-        return Status::TypeError(
-            StrCat("filter predicate produced non-boolean ", keep.ToString()));
-      }
-      if (keep.AsBool()) {
-        ctx_->stats->rows_emitted++;
-        out->push_back(std::move(row));
-        ++appended;
-      }
-    }
-    if (appended > 0) return appended;
-  }
+  return PullUntilEmitted(
+      child_.get(), &batch_, out, max, ctx_, [&](Value& row) -> Status {
+        ctx_->stats->predicate_evals++;
+        TMDB_ASSIGN_OR_RETURN(Value keep, EvalWithRow(pred_, var_, row, ctx_));
+        if (!keep.is_bool()) {
+          return Status::TypeError(StrCat(
+              "filter predicate produced non-boolean ", keep.ToString()));
+        }
+        if (keep.AsBool()) out->push_back(std::move(row));
+        return Status::OK();
+      });
 }
 
 void FilterOp::Close() {
@@ -263,40 +220,17 @@ std::string FilterOp::Describe() const {
 Status MapOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   seen_.clear();
-  work_ = 0;
   return child_->Open(ctx);
 }
 
-Result<std::optional<Value>> MapOp::Next() {
-  while (true) {
-    TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx_, &work_));
-    TMDB_ASSIGN_OR_RETURN(std::optional<Value> row, child_->Next());
-    if (!row.has_value()) return std::optional<Value>();
-    TMDB_ASSIGN_OR_RETURN(Value out, EvalWithRow(expr_, var_, *row, ctx_));
-    if (seen_.insert(out).second) {
-      ctx_->stats->rows_emitted++;
-      return std::optional<Value>(std::move(out));
-    }
-  }
-}
-
 Result<size_t> MapOp::NextBatch(std::vector<Value>* out, size_t max) {
-  while (true) {
-    TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-    batch_.clear();
-    TMDB_ASSIGN_OR_RETURN(size_t got, child_->NextBatch(&batch_, max));
-    if (got == 0) return 0;
-    size_t appended = 0;
-    for (const Value& row : batch_) {
-      TMDB_ASSIGN_OR_RETURN(Value mapped, EvalWithRow(expr_, var_, row, ctx_));
-      if (seen_.insert(mapped).second) {
-        ctx_->stats->rows_emitted++;
-        out->push_back(std::move(mapped));
-        ++appended;
-      }
-    }
-    if (appended > 0) return appended;
-  }
+  return PullUntilEmitted(
+      child_.get(), &batch_, out, max, ctx_, [&](Value& row) -> Status {
+        TMDB_ASSIGN_OR_RETURN(Value mapped,
+                              EvalWithRow(expr_, var_, row, ctx_));
+        if (seen_.insert(mapped).second) out->push_back(std::move(mapped));
+        return Status::OK();
+      });
 }
 
 void MapOp::Close() {
@@ -313,24 +247,26 @@ std::string MapOp::Describe() const {
 
 Status UnnestOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  current_rest_.reset();
+  in_.Reset();
+  current_rest_ = Value();
   current_elems_.clear();
   elem_pos_ = 0;
-  work_ = 0;
   return child_->Open(ctx);
 }
 
-Result<std::optional<Value>> UnnestOp::Next() {
-  while (true) {
-    TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx_, &work_));
-    if (current_rest_.has_value() && elem_pos_ < current_elems_.size()) {
-      const Value& elem = current_elems_[elem_pos_++];
-      TMDB_ASSIGN_OR_RETURN(Value out, ConcatTuples(*current_rest_, elem));
-      ctx_->stats->rows_emitted++;
-      return std::optional<Value>(std::move(out));
+Result<size_t> UnnestOp::NextBatch(std::vector<Value>* out, size_t max) {
+  TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
+  size_t appended = 0;
+  while (appended < max) {
+    if (elem_pos_ < current_elems_.size()) {
+      TMDB_ASSIGN_OR_RETURN(
+          Value row, ConcatTuples(current_rest_, current_elems_[elem_pos_++]));
+      out->push_back(std::move(row));
+      ++appended;
+      continue;
     }
-    TMDB_ASSIGN_OR_RETURN(std::optional<Value> row, child_->Next());
-    if (!row.has_value()) return std::optional<Value>();
+    TMDB_ASSIGN_OR_RETURN(Value * row, in_.Read(child_.get(), ctx_));
+    if (row == nullptr) break;
     TMDB_ASSIGN_OR_RETURN(Value set, row->Field(attr_));
     if (!set.is_collection()) {
       return Status::TypeError(StrCat("Unnest attribute '", attr_,
@@ -350,10 +286,13 @@ Result<std::optional<Value>> UnnestOp::Next() {
     elem_pos_ = 0;
     // Rows with an empty set vanish (μ is not information-preserving).
   }
+  ctx_->stats->rows_emitted += appended;
+  return appended;
 }
 
 void UnnestOp::Close() {
-  current_rest_.reset();
+  in_.Reset();
+  current_rest_ = Value();
   current_elems_.clear();
   child_->Close();
 }
@@ -368,30 +307,28 @@ Status UnionOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   on_right_ = false;
   seen_.clear();
-  work_ = 0;
   TMDB_RETURN_IF_ERROR(left_->Open(ctx));
   return right_->Open(ctx);
 }
 
-Result<std::optional<Value>> UnionOp::Next() {
-  while (true) {
-    TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx_, &work_));
-    PhysicalOp* source = on_right_ ? right_.get() : left_.get();
-    TMDB_ASSIGN_OR_RETURN(std::optional<Value> row, source->Next());
-    if (!row.has_value()) {
-      if (on_right_) return std::optional<Value>();
-      on_right_ = true;
-      continue;
-    }
-    if (seen_.insert(*row).second) {
-      ctx_->stats->rows_emitted++;
-      return row;
-    }
+Result<size_t> UnionOp::NextBatch(std::vector<Value>* out, size_t max) {
+  auto emit_unseen = [&](Value& row) -> Status {
+    if (seen_.insert(row).second) out->push_back(std::move(row));
+    return Status::OK();
+  };
+  if (!on_right_) {
+    TMDB_ASSIGN_OR_RETURN(size_t got, PullUntilEmitted(left_.get(), &batch_,
+                                                       out, max, ctx_,
+                                                       emit_unseen));
+    if (got > 0) return got;
+    on_right_ = true;
   }
+  return PullUntilEmitted(right_.get(), &batch_, out, max, ctx_, emit_unseen);
 }
 
 void UnionOp::Close() {
   seen_.clear();
+  batch_.clear();
   left_->Close();
   right_->Close();
 }
@@ -402,39 +339,40 @@ Status DifferenceOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   right_rows_.clear();
   build_res_.Reset(ctx->guard);
-  work_ = 0;
   TMDB_RETURN_IF_ERROR(right_->Open(ctx));
   while (true) {
-    TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx_, &work_));
-    TMDB_ASSIGN_OR_RETURN(std::optional<Value> row, right_->Next());
-    if (!row.has_value()) break;
-    if (right_rows_.insert(std::move(*row)).second) {
-      // Approximate hash-set slot cost per distinct row. Charge() accounts
-      // immediately but defers the guard *check* to its granularity; the
-      // periodic check above bounds trip latency to one batch regardless.
-      TMDB_RETURN_IF_ERROR(
-          build_res_.Charge(sizeof(Value) + 2 * sizeof(void*)));
+    TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
+    batch_.clear();
+    TMDB_ASSIGN_OR_RETURN(size_t got,
+                          right_->NextBatch(&batch_, kExecBatchSize));
+    if (got == 0) break;
+    ctx_->stats->rows_built += got;
+    for (Value& row : batch_) {
+      if (right_rows_.insert(std::move(row)).second) {
+        // Approximate hash-set slot cost per distinct row. Charge()
+        // accounts immediately but defers the guard *check* to its
+        // granularity; the per-batch check above bounds trip latency to one
+        // batch regardless.
+        TMDB_RETURN_IF_ERROR(
+            build_res_.Charge(sizeof(Value) + 2 * sizeof(void*)));
+      }
     }
-    ctx_->stats->rows_built++;
   }
   right_->Close();
   return left_->Open(ctx);
 }
 
-Result<std::optional<Value>> DifferenceOp::Next() {
-  while (true) {
-    TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx_, &work_));
-    TMDB_ASSIGN_OR_RETURN(std::optional<Value> row, left_->Next());
-    if (!row.has_value()) return std::optional<Value>();
-    if (right_rows_.count(*row) == 0) {
-      ctx_->stats->rows_emitted++;
-      return row;
-    }
-  }
+Result<size_t> DifferenceOp::NextBatch(std::vector<Value>* out, size_t max) {
+  return PullUntilEmitted(
+      left_.get(), &batch_, out, max, ctx_, [&](Value& row) -> Status {
+        if (right_rows_.count(row) == 0) out->push_back(std::move(row));
+        return Status::OK();
+      });
 }
 
 void DifferenceOp::Close() {
   right_rows_.clear();
+  batch_.clear();
   build_res_.Release();
   left_->Close();
 }

@@ -28,7 +28,6 @@ class TableScanOp final : public PhysicalOp {
       : table_(std::move(table)), try_columnar_(try_columnar) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<std::optional<Value>> Next() override;
   Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override;
   void Close() override;
   std::string Describe() const override;
@@ -53,7 +52,6 @@ class ExprSourceOp final : public PhysicalOp {
   explicit ExprSourceOp(Expr expr) : expr_(std::move(expr)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<std::optional<Value>> Next() override;
   Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override;
   void Close() override;
   std::string Describe() const override;
@@ -85,7 +83,6 @@ class FilterOp final : public PhysicalOp {
         cpred_(std::move(cpred)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<std::optional<Value>> Next() override;
   Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override;
   void Close() override;
   std::string Describe() const override;
@@ -106,7 +103,6 @@ class FilterOp final : public PhysicalOp {
   std::optional<ColumnPredicate> cpred_;
   ExecContext* ctx_ = nullptr;
   std::vector<Value> batch_;  // scratch input batch, reused across calls
-  uint64_t work_ = 0;         // rows examined, for periodic guard checks
 
   // Columnar state, live while columnar_active_.
   bool columnar_active_ = false;
@@ -126,7 +122,6 @@ class MapOp final : public PhysicalOp {
       : child_(std::move(child)), var_(std::move(var)), expr_(std::move(expr)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<std::optional<Value>> Next() override;
   Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override;
   void Close() override;
   std::string Describe() const override;
@@ -141,7 +136,6 @@ class MapOp final : public PhysicalOp {
   ExecContext* ctx_ = nullptr;
   std::unordered_set<Value, ValueHash, ValueEq> seen_;
   std::vector<Value> batch_;  // scratch input batch, reused across calls
-  uint64_t work_ = 0;         // rows examined, for periodic guard checks
 };
 
 /// μ: flattens the set-of-tuples attribute `attr`; each element's fields are
@@ -152,7 +146,7 @@ class UnnestOp final : public PhysicalOp {
       : child_(std::move(child)), attr_(std::move(attr)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<std::optional<Value>> Next() override;
+  Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override;
   void Close() override;
   std::string Describe() const override;
   std::vector<const PhysicalOp*> children() const override {
@@ -163,10 +157,10 @@ class UnnestOp final : public PhysicalOp {
   PhysicalOpPtr child_;
   std::string attr_;
   ExecContext* ctx_ = nullptr;
-  std::optional<Value> current_rest_;   // row without attr
-  std::vector<Value> current_elems_;    // elements still to emit
+  BatchReader in_;
+  Value current_rest_;                // current input row without attr
+  std::vector<Value> current_elems_;  // its elements still to emit
   size_t elem_pos_ = 0;
-  uint64_t work_ = 0;  // rows examined, for periodic guard checks
 };
 
 /// Set union: left rows, then right rows not already seen.
@@ -176,7 +170,7 @@ class UnionOp final : public PhysicalOp {
       : left_(std::move(left)), right_(std::move(right)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<std::optional<Value>> Next() override;
+  Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override;
   void Close() override;
   std::string Describe() const override { return "Union"; }
   std::vector<const PhysicalOp*> children() const override {
@@ -189,7 +183,7 @@ class UnionOp final : public PhysicalOp {
   ExecContext* ctx_ = nullptr;
   bool on_right_ = false;
   std::unordered_set<Value, ValueHash, ValueEq> seen_;
-  uint64_t work_ = 0;  // rows examined, for periodic guard checks
+  std::vector<Value> batch_;  // scratch input batch, reused across calls
 };
 
 /// Set difference: left rows not occurring in the (materialised) right.
@@ -199,7 +193,7 @@ class DifferenceOp final : public PhysicalOp {
       : left_(std::move(left)), right_(std::move(right)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<std::optional<Value>> Next() override;
+  Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override;
   void Close() override;
   std::string Describe() const override { return "Difference"; }
   std::vector<const PhysicalOp*> children() const override {
@@ -212,7 +206,7 @@ class DifferenceOp final : public PhysicalOp {
   ExecContext* ctx_ = nullptr;
   std::unordered_set<Value, ValueHash, ValueEq> right_rows_;
   GuardReservation build_res_;  // bytes charged for right_rows_
-  uint64_t work_ = 0;           // rows examined, for periodic guard checks
+  std::vector<Value> batch_;    // scratch input batch, reused across calls
 };
 
 }  // namespace tmdb

@@ -22,14 +22,9 @@ inline Status PeriodicGuardCheck(const ExecContext* ctx, size_t i) {
 Status HashJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   partitions_.clear();
-  probe_rows_ = 0;
-  current_left_.reset();
-  current_bucket_ = nullptr;
-  bucket_pos_ = 0;
-  left_matched_ = false;
+  left_in_.Reset();
+  serve_.Clear();
   materialized_ = false;
-  output_.clear();
-  output_pos_ = 0;
   spilled_ = false;
   build_res_.Reset(ctx->guard);
 
@@ -43,16 +38,8 @@ Status HashJoinOp::Open(ExecContext* ctx) {
   next_ = nullptr;
   bucket_mask_ = 0;
   fast_dict_ = StringDict();
-  probe_batch_.clear();
-  serve_.clear();
-  serve_pos_ = 0;
   memo_.clear();
   memo_enabled_ = false;
-  pred_is_true_ = spec_.pred.is_literal() &&
-                  spec_.pred.literal_value().is_bool() &&
-                  spec_.pred.literal_value().AsBool();
-  func_is_right_ident_ =
-      spec_.func.is_var() && spec_.func.var_name() == spec_.right_var;
 
   TMDB_RETURN_IF_ERROR(BuildTables(ctx));
   // Nest-join group memo: re-probing an already-grouped key hands back the
@@ -60,12 +47,12 @@ Status HashJoinOp::Open(ExecContext* ctx) {
   // without a memory budget — memoised groups are memory the row path does
   // not hold, and must not shift when a budget trips.
   memo_enabled_ = fast_active_ && spec_.mode == JoinMode::kNestJoin &&
-                  pred_is_true_ && func_is_right_ident_ &&
+                  matcher_.pred_is_true() && matcher_.func_is_right_ident() &&
                   !ctx->parallel_enabled() &&
                   (ctx->guard == nullptr ||
                    ctx->guard->limits().memory_budget_bytes == 0);
   if (spilled_) {
-    // The spill path consumed both inputs and filled output_ already.
+    // The spill path consumed both inputs and filled serve_ already.
     return Status::OK();
   }
   TMDB_RETURN_IF_ERROR(left_->Open(ctx));
@@ -80,13 +67,10 @@ Status HashJoinOp::Open(ExecContext* ctx) {
       materialized_ = true;
     } else if (SpillEligible(ctx, probed)) {
       // The build table fits but materialising the probe side blew the
-      // budget. Fall back to the streaming probe, which holds one left row
-      // at a time: refund the probe scratch (its values freed on unwind)
-      // and restart the left input.
+      // budget. Fall back to the serial probe, which holds one probe
+      // batch at a time: refund the probe scratch (its values freed on
+      // unwind) and restart the left input.
       build_res_.Shrink(build_res_.held() - held_before);
-      output_.clear();
-      output_.shrink_to_fit();
-      output_pos_ = 0;
       left_->Close();
       TMDB_RETURN_IF_ERROR(left_->Open(ctx));
     } else {
@@ -272,20 +256,6 @@ const std::vector<Value>* HashJoinOp::FindBucket(const Value& key) const {
   return it == table.end() ? nullptr : &it->second;
 }
 
-namespace {
-
-/// Match iterator over a row-path map bucket (all rows share the probe key).
-struct VecIter {
-  const std::vector<Value>* bucket;  // may be nullptr (no such key)
-  size_t i = 0;
-
-  bool done() const { return bucket == nullptr || i >= bucket->size(); }
-  const Value& row() const { return (*bucket)[i]; }
-  void advance() { ++i; }
-};
-
-}  // namespace
-
 /// Match iterator over a fast-table hash chain: walks `next` links from a
 /// bucket head, skipping entries whose raw key differs from the probe key
 /// (chains mix keys that share a bucket; map buckets do not).
@@ -323,93 +293,13 @@ struct HashJoinOp::FastIter {
   }
 };
 
-template <typename Iter>
-Status HashJoinOp::ProcessMatchIt(const Value& left_row, Iter it,
-                                  ExecContext* ctx,
-                                  std::vector<Value>* out) const {
-  // A literal-true residual still costs one predicate_eval per pair — the
-  // counter says how many pairs were considered, not how much work the
-  // evaluator did.
-  auto eval_pred = [&](const Value& right_row) -> Result<bool> {
-    if (pred_is_true_) {
-      ctx->stats->predicate_evals++;
-      return true;
-    }
-    return EvalJoinPred(spec_, left_row, right_row, ctx);
-  };
-  switch (spec_.mode) {
-    case JoinMode::kInner:
-    case JoinMode::kLeftOuter: {
-      bool matched = false;
-      for (; !it.done(); it.advance()) {
-        const Value& right_row = it.row();
-        TMDB_ASSIGN_OR_RETURN(bool match, eval_pred(right_row));
-        if (match) {
-          matched = true;
-          TMDB_ASSIGN_OR_RETURN(Value o, ConcatTuples(left_row, right_row));
-          out->push_back(std::move(o));
-        }
-      }
-      if (spec_.mode == JoinMode::kLeftOuter && !matched) {
-        TMDB_ASSIGN_OR_RETURN(
-            Value o,
-            ConcatTuples(left_row, NullTupleOfType(spec_.right_type)));
-        out->push_back(std::move(o));
-      }
-      return Status::OK();
-    }
-    case JoinMode::kSemi:
-    case JoinMode::kAnti: {
-      const bool want_match = spec_.mode == JoinMode::kSemi;
-      bool matched = false;
-      for (; !it.done(); it.advance()) {
-        TMDB_ASSIGN_OR_RETURN(bool match, eval_pred(it.row()));
-        if (match) {
-          matched = true;
-          break;  // same early exit as the streaming path
-        }
-      }
-      if (matched == want_match) out->push_back(left_row);
-      return Status::OK();
-    }
-    case JoinMode::kNestJoin: {
-      std::vector<Value> group;
-      for (; !it.done(); it.advance()) {
-        const Value& right_row = it.row();
-        TMDB_ASSIGN_OR_RETURN(bool match, eval_pred(right_row));
-        if (match) {
-          if (func_is_right_ident_) {
-            group.push_back(right_row);
-          } else {
-            TMDB_ASSIGN_OR_RETURN(
-                Value g, EvalJoinFunc(spec_, left_row, right_row, ctx));
-            group.push_back(std::move(g));
-          }
-        }
-      }
-      TMDB_ASSIGN_OR_RETURN(Value o, ExtendTuple(left_row, spec_.label,
-                                                 Value::Set(std::move(group))));
-      out->push_back(std::move(o));
-      return Status::OK();
-    }
-  }
-  return Status::Internal("unhandled join mode");
-}
-
-Status HashJoinOp::ProcessMatch(const Value& left_row,
-                                const std::vector<Value>* bucket,
-                                ExecContext* ctx,
-                                std::vector<Value>* out) const {
-  return ProcessMatchIt(left_row, VecIter{bucket}, ctx, out);
-}
-
 Status HashJoinOp::ProcessLeftRow(const Value& left_row, ExecContext* ctx,
                                   std::vector<Value>* out) const {
   if (fast_active_) return ProcessLeftRowFast(left_row, ctx, out);
   TMDB_ASSIGN_OR_RETURN(
       Value key, EvalCompositeKey(left_keys_, spec_.left_var, left_row, ctx));
   ctx->stats->hash_probes++;
-  return ProcessMatchIt(left_row, VecIter{FindBucket(key)}, ctx, out);
+  return matcher_.Match(left_row, RowVecIter{FindBucket(key)}, ctx, out);
 }
 
 Result<bool> HashJoinOp::BuildFast(ExecContext* ctx,
@@ -575,22 +465,16 @@ Status HashJoinOp::ProcessLeftRowFast(const Value& left_row, ExecContext* ctx,
       out->push_back(std::move(o));
       return Status::OK();
     }
-    std::vector<Value> group;
-    uint64_t matches = 0;
-    for (FastIter g = it; !g.done(); g.advance()) {
-      ctx->stats->predicate_evals++;
-      ++matches;
-      group.push_back(g.row());
-    }
-    Value set = Value::Set(std::move(group));
-    memo_.emplace(group_id, std::make_pair(set, matches));
-    TMDB_ASSIGN_OR_RETURN(Value o,
-                          ExtendTuple(left_row, spec_.label, std::move(set)));
-    out->push_back(std::move(o));
+    const uint64_t evals_before = ctx->stats->predicate_evals;
+    TMDB_RETURN_IF_ERROR(matcher_.Match(left_row, it, ctx, out));
+    TMDB_ASSIGN_OR_RETURN(Value set, out->back().Field(spec_.label));
+    memo_.emplace(group_id,
+                  std::make_pair(std::move(set),
+                                 ctx->stats->predicate_evals - evals_before));
     return Status::OK();
   }
 
-  return ProcessMatchIt(left_row, it, ctx, out);
+  return matcher_.Match(left_row, it, ctx, out);
 }
 
 Status HashJoinOp::ParallelProbe() {
@@ -622,201 +506,35 @@ Status HashJoinOp::ParallelProbe() {
         return Status::OK();
       }));
   // Concatenating in morsel order reproduces the serial emission order;
-  // rows_emitted is counted at serve time, like the streaming path.
+  // rows_emitted is counted at serve time, as on the serial path.
   AccumulateStats(local_stats, ctx_->stats);
   size_t total = 0;
   for (const std::vector<Value>& part : outputs) total += part.size();
   TMDB_RETURN_IF_ERROR(build_res_.Add(total * sizeof(Value)));
-  output_.reserve(total);
+  std::vector<Value> output;
+  output.reserve(total);
   for (std::vector<Value>& part : outputs) {
-    for (Value& row : part) output_.push_back(std::move(row));
+    for (Value& row : part) output.push_back(std::move(row));
   }
+  serve_.Load(std::move(output));
   return Status::OK();
 }
 
-Result<bool> HashJoinOp::AdvanceLeft() {
-  TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx_, probe_rows_++));
-  TMDB_ASSIGN_OR_RETURN(std::optional<Value> row, left_->Next());
-  if (!row.has_value()) {
-    current_left_.reset();
-    return false;
-  }
-  current_left_ = std::move(*row);
-  TMDB_ASSIGN_OR_RETURN(
-      Value key,
-      EvalCompositeKey(left_keys_, spec_.left_var, *current_left_, ctx_));
-  ctx_->stats->hash_probes++;
-  current_bucket_ = FindBucket(key);
-  bucket_pos_ = 0;
-  left_matched_ = false;
-  return true;
-}
-
-Result<std::optional<Value>> HashJoinOp::Next() {
-  if (materialized_) {
-    if (output_pos_ >= output_.size()) return std::optional<Value>();
-    ctx_->stats->rows_emitted++;
-    return std::optional<Value>(output_[output_pos_++]);
-  }
-  if (fast_active_) return NextFastStreaming();
-  return NextStreaming();
-}
-
-Result<std::optional<Value>> HashJoinOp::NextFastStreaming() {
-  while (serve_pos_ >= serve_.size()) {
-    serve_.clear();
-    serve_pos_ = 0;
-    TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-    probe_batch_.clear();
-    TMDB_ASSIGN_OR_RETURN(size_t got,
-                          left_->NextBatch(&probe_batch_, kExecBatchSize));
-    if (got == 0) return std::optional<Value>();
-    probe_rows_ += got;
-    for (const Value& left_row : probe_batch_) {
-      TMDB_RETURN_IF_ERROR(ProcessLeftRowFast(left_row, ctx_, &serve_));
-    }
-  }
-  ctx_->stats->rows_emitted++;
-  return std::optional<Value>(std::move(serve_[serve_pos_++]));
-}
-
 Result<size_t> HashJoinOp::NextBatch(std::vector<Value>* out, size_t max) {
-  if (fast_active_ && !materialized_) {
-    size_t produced = 0;
-    while (produced < max) {
-      if (serve_pos_ < serve_.size()) {
-        const size_t take = std::min(max - produced, serve_.size() - serve_pos_);
-        out->insert(
-            out->end(),
-            std::make_move_iterator(serve_.begin() +
-                                    static_cast<ptrdiff_t>(serve_pos_)),
-            std::make_move_iterator(serve_.begin() +
-                                    static_cast<ptrdiff_t>(serve_pos_ + take)));
-        serve_pos_ += take;
-        produced += take;
-        ctx_->stats->rows_emitted += take;
-        continue;
-      }
-      serve_.clear();
-      serve_pos_ = 0;
-      TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-      probe_batch_.clear();
-      TMDB_ASSIGN_OR_RETURN(size_t got,
-                            left_->NextBatch(&probe_batch_, kExecBatchSize));
-      if (got == 0) break;
-      probe_rows_ += got;
-      for (const Value& left_row : probe_batch_) {
-        TMDB_RETURN_IF_ERROR(ProcessLeftRowFast(left_row, ctx_, &serve_));
-      }
-    }
-    return produced;
-  }
-  if (!materialized_) return PhysicalOp::NextBatch(out, max);
-  TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-  const size_t take = std::min(max, output_.size() - output_pos_);
-  out->insert(out->end(),
-              output_.begin() + static_cast<ptrdiff_t>(output_pos_),
-              output_.begin() + static_cast<ptrdiff_t>(output_pos_ + take));
-  output_pos_ += take;
-  ctx_->stats->rows_emitted += take;
-  return take;
-}
-
-Result<std::optional<Value>> HashJoinOp::NextStreaming() {
-  switch (spec_.mode) {
-    case JoinMode::kInner:
-    case JoinMode::kLeftOuter: {
-      while (true) {
-        if (!current_left_.has_value()) {
-          TMDB_ASSIGN_OR_RETURN(bool more, AdvanceLeft());
-          if (!more) return std::optional<Value>();
-        }
-        if (current_bucket_ != nullptr) {
-          while (bucket_pos_ < current_bucket_->size()) {
-            const Value& right_row = (*current_bucket_)[bucket_pos_++];
-            TMDB_ASSIGN_OR_RETURN(
-                bool match,
-                EvalJoinPred(spec_, *current_left_, right_row, ctx_));
-            if (match) {
-              left_matched_ = true;
-              TMDB_ASSIGN_OR_RETURN(Value out,
-                                    ConcatTuples(*current_left_, right_row));
-              ctx_->stats->rows_emitted++;
-              return std::optional<Value>(std::move(out));
-            }
-          }
-        }
-        if (spec_.mode == JoinMode::kLeftOuter && !left_matched_) {
-          TMDB_ASSIGN_OR_RETURN(
-              Value out, ConcatTuples(*current_left_,
-                                      NullTupleOfType(spec_.right_type)));
-          current_left_.reset();
-          ctx_->stats->rows_emitted++;
-          return std::optional<Value>(std::move(out));
-        }
-        current_left_.reset();
-      }
-    }
-
-    case JoinMode::kSemi:
-    case JoinMode::kAnti: {
-      const bool want_match = spec_.mode == JoinMode::kSemi;
-      while (true) {
-        TMDB_ASSIGN_OR_RETURN(bool more, AdvanceLeft());
-        if (!more) return std::optional<Value>();
-        bool matched = false;
-        if (current_bucket_ != nullptr) {
-          for (const Value& right_row : *current_bucket_) {
-            TMDB_ASSIGN_OR_RETURN(
-                bool match,
-                EvalJoinPred(spec_, *current_left_, right_row, ctx_));
-            if (match) {
-              matched = true;
-              break;
-            }
-          }
-        }
-        if (matched == want_match) {
-          ctx_->stats->rows_emitted++;
-          Value out = std::move(*current_left_);
-          current_left_.reset();
-          return std::optional<Value>(std::move(out));
-        }
-      }
-    }
-
-    case JoinMode::kNestJoin: {
-      TMDB_ASSIGN_OR_RETURN(bool more, AdvanceLeft());
-      if (!more) return std::optional<Value>();
-      std::vector<Value> group;
-      if (current_bucket_ != nullptr) {
-        for (const Value& right_row : *current_bucket_) {
-          TMDB_ASSIGN_OR_RETURN(
-              bool match, EvalJoinPred(spec_, *current_left_, right_row, ctx_));
-          if (match) {
-            TMDB_ASSIGN_OR_RETURN(
-                Value g, EvalJoinFunc(spec_, *current_left_, right_row, ctx_));
-            group.push_back(std::move(g));
-          }
-        }
-      }
-      TMDB_ASSIGN_OR_RETURN(
-          Value out, ExtendTuple(*current_left_, spec_.label,
-                                 Value::Set(std::move(group))));
-      current_left_.reset();
-      ctx_->stats->rows_emitted++;
-      return std::optional<Value>(std::move(out));
-    }
-  }
-  return Status::Internal("unhandled join mode");
+  auto refill = [this](std::vector<Value>* buf) -> Result<bool> {
+    if (materialized_) return false;
+    TMDB_ASSIGN_OR_RETURN(Value * left_row, left_in_.Read(left_.get(), ctx_));
+    if (left_row == nullptr) return false;
+    TMDB_RETURN_IF_ERROR(ProcessLeftRow(*left_row, ctx_, buf));
+    return true;
+  };
+  return serve_.Serve(out, max, ctx_, refill);
 }
 
 void HashJoinOp::Close() {
   partitions_.clear();
-  current_left_.reset();
-  current_bucket_ = nullptr;
-  output_.clear();
-  output_pos_ = 0;
+  left_in_.Reset();
+  serve_.Clear();
   materialized_ = false;
   spilled_ = false;
   fast_active_ = false;
@@ -830,9 +548,6 @@ void HashJoinOp::Close() {
   next_ = nullptr;
   bucket_mask_ = 0;
   fast_dict_ = StringDict();
-  probe_batch_.clear();
-  serve_.clear();
-  serve_pos_ = 0;
   memo_.clear();
   memo_enabled_ = false;
   build_res_.Release();
@@ -852,8 +567,7 @@ std::string HashJoinOp::Describe() const {
   std::string out =
       StrCat("HashJoin<", JoinModeName(spec_.mode), ">[", spec_.left_var, ",",
              spec_.right_var, " : keys(", Join(keys, ", "), ")");
-  if (!(spec_.pred.is_literal() && spec_.pred.literal_value().is_bool() &&
-        spec_.pred.literal_value().AsBool())) {
+  if (!matcher_.pred_is_true()) {
     out += StrCat(", residual ", spec_.pred.ToString());
   }
   if (spec_.mode == JoinMode::kNestJoin) {

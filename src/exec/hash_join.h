@@ -63,10 +63,10 @@ class HashJoinOp final : public PhysicalOp {
         spec_(std::move(spec)),
         left_keys_(std::move(left_keys)),
         right_keys_(std::move(right_keys)),
+        matcher_(spec_),
         fast_spec_(std::move(fast_keys)) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<std::optional<Value>> Next() override;
   Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override;
   void Close() override;
   std::string Describe() const override;
@@ -87,21 +87,12 @@ class HashJoinOp final : public PhysicalOp {
   /// intact so the caller can divert to the spill path.
   Status BuildInMemory(ExecContext* ctx, std::vector<Value>* rows);
   /// Materialises the left input and probes it with parallel morsels,
-  /// filling output_. Only called when the probe expressions are
-  /// subplan-free.
+  /// loading the whole output into serve_.
   Status ParallelProbe();
   /// Appends the join output rows of one left row to `out` (all modes);
   /// dispatches to the fast probe when the fast table is active.
   Status ProcessLeftRow(const Value& left_row, ExecContext* ctx,
                         std::vector<Value>* out) const;
-  /// Mode dispatch for one left row against a match iterator — shared by
-  /// the row path (map bucket) and the fast path (hash chain).
-  template <typename Iter>
-  Status ProcessMatchIt(const Value& left_row, Iter it, ExecContext* ctx,
-                        std::vector<Value>* out) const;
-  /// Bucket-shaped entry point for the spill path (hash_join_spill.cc).
-  Status ProcessMatch(const Value& left_row, const std::vector<Value>* bucket,
-                      ExecContext* ctx, std::vector<Value>* out) const;
 
   // --- Raw-key fast path ---
 
@@ -118,9 +109,6 @@ class HashJoinOp final : public PhysicalOp {
                             std::vector<Value>* out) const;
   /// Match iterator over one fast-table hash chain (defined in the .cc).
   struct FastIter;
-  /// Serial fast probe: drains left batches through ProcessLeftRowFast into
-  /// serve_ and hands rows out one at a time.
-  Result<std::optional<Value>> NextFastStreaming();
 
   // --- Grace spill path (hash_join_spill.cc) ---
 
@@ -134,7 +122,7 @@ class HashJoinOp final : public PhysicalOp {
   bool SpillEligible(const ExecContext* ctx, const Status& s) const;
   /// Diverts the build to disk: partitions the salvaged (and any remaining)
   /// build rows plus the whole probe side, then processes partitions one at
-  /// a time into output_. `right_open` says the build input still has rows.
+  /// a time into serve_. `right_open` says the build input still has rows.
   Status SpillBuildAndProbe(ExecContext* ctx, std::vector<Value> build_rows,
                             bool right_open);
   /// Loads one partition's build file and probes its probe file, appending
@@ -149,31 +137,24 @@ class HashJoinOp final : public PhysicalOp {
                                int depth,
                                std::vector<std::pair<uint64_t, Value>>* out);
 
-  Result<bool> AdvanceLeft();
-  Result<std::optional<Value>> NextStreaming();
-
   PhysicalOpPtr left_;
   PhysicalOpPtr right_;
   JoinSpec spec_;
   std::vector<Expr> left_keys_;
   std::vector<Expr> right_keys_;
+  JoinMatcher matcher_;
   ExecContext* ctx_ = nullptr;
 
   // Build side: disjoint hash partitions (one in serial execution). A key's
   // partition is Hash() % partitions_.size().
   std::vector<BuildMap> partitions_;
 
-  // Streaming probe state (serial path).
-  size_t probe_rows_ = 0;
-  std::optional<Value> current_left_;
-  const std::vector<Value>* current_bucket_ = nullptr;
-  size_t bucket_pos_ = 0;
-  bool left_matched_ = false;
-
-  // Materialised probe output (parallel and spill paths).
+  // Probe side, one left row at a time, and the output handed out by
+  // NextBatch. The morsel and spill paths materialise the whole output
+  // into serve_ at Open and set materialized_.
+  BatchReader left_in_;
+  JoinServe serve_;
   bool materialized_ = false;
-  std::vector<Value> output_;
-  size_t output_pos_ = 0;
 
   // True once this Open diverted to the Grace spill path.
   bool spilled_ = false;
@@ -193,18 +174,6 @@ class HashJoinOp final : public PhysicalOp {
   uint32_t* next_ = nullptr;
   uint64_t bucket_mask_ = 0;
   StringDict fast_dict_;  // build-key strings; probe via Lookup (read-only)
-
-  // Probe shortcuts, decided at Open: a literal-true residual predicate
-  // still counts one predicate_eval per considered pair, and an identity G
-  // (= right_var) hands back the right row — both exactly what the
-  // evaluator would produce.
-  bool pred_is_true_ = false;
-  bool func_is_right_ident_ = false;
-
-  // Serial fast probe: per-batch output buffer served row-by-row.
-  std::vector<Value> probe_batch_;
-  std::vector<Value> serve_;
-  size_t serve_pos_ = 0;
 
   // Nest-join group memo: first-matching-build-row id → (group set, match
   // count). Only enabled serial + literal-true pred + identity G + no

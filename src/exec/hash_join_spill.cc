@@ -148,8 +148,10 @@ Status HashJoinOp::SpillBuildAndProbe(ExecContext* ctx,
       tagged.begin(), tagged.end(),
       [](const std::pair<uint64_t, Value>& a,
          const std::pair<uint64_t, Value>& b) { return a.first < b.first; });
-  output_.reserve(tagged.size());
-  for (auto& entry : tagged) output_.push_back(std::move(entry.second));
+  std::vector<Value> output;
+  output.reserve(tagged.size());
+  for (auto& entry : tagged) output.push_back(std::move(entry.second));
+  serve_.Load(std::move(output));
   return Status::OK();
 }
 
@@ -239,7 +241,8 @@ Status HashJoinOp::ProcessSpillPartition(
       const std::vector<Value>* bucket =
           it == table.end() ? nullptr : &it->second;
       row_out.clear();
-      TMDB_RETURN_IF_ERROR(ProcessMatch(left_row, bucket, ctx, &row_out));
+      TMDB_RETURN_IF_ERROR(
+          matcher_.Match(left_row, RowVecIter{bucket}, ctx, &row_out));
       if (!row_out.empty()) {
         TMDB_RETURN_IF_ERROR(build_res_.Add(
             row_out.size() * sizeof(std::pair<uint64_t, Value>)));

@@ -56,4 +56,13 @@ Result<Value> EvalJoinFunc(const JoinSpec& spec, const Value& left_row,
   return EvalExpr(spec.func, env, ctx->subplans);
 }
 
+JoinMatcher::JoinMatcher(const JoinSpec& spec, bool checkpoint_pairs)
+    : spec_(spec),
+      checkpoint_pairs_(checkpoint_pairs),
+      pred_is_true_(spec.pred.is_literal() &&
+                    spec.pred.literal_value().is_bool() &&
+                    spec.pred.literal_value().AsBool()),
+      func_is_right_ident_(spec.func.is_var() &&
+                           spec.func.var_name() == spec.right_var) {}
+
 }  // namespace tmdb

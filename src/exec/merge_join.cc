@@ -6,7 +6,6 @@
 #include "base/string_util.h"
 #include "exec/spill_util.h"
 #include "spill/value_codec.h"
-#include "values/value_ops.h"
 
 namespace tmdb {
 
@@ -201,18 +200,15 @@ Status MergeJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   left_side_.Reset(ctx->guard);
   right_side_.Reset(ctx->guard);
-  left_cur_ = Keyed();
   right_pending_ = Keyed();
   right_pending_valid_ = false;
   right_eof_ = false;
   right_run_.clear();
   right_run_key_ = Value();
   right_run_valid_ = false;
-  run_pos_ = 0;
-  left_consumed_ = true;
-  left_matched_ = false;
   work_ = 0;
   run_res_.Reset(ctx->guard);
+  serve_.Clear();
   TMDB_RETURN_IF_ERROR(OpenSide(left_.get(), left_keys_, spec_.left_var,
                                 &left_side_, "mj-left"));
   return OpenSide(right_.get(), right_keys_, spec_.right_var, &right_side_,
@@ -306,104 +302,34 @@ Status MergeJoinOp::LoadRightRun(const Value& key) {
   return Status::OK();
 }
 
-Result<std::optional<Value>> MergeJoinOp::Next() {
-  while (true) {
+Result<size_t> MergeJoinOp::NextBatch(std::vector<Value>* out, size_t max) {
+  // Each refill takes the next left row in key order and matches it
+  // against its equal-key right run.
+  auto refill = [this](std::vector<Value>* buf) -> Result<bool> {
     if ((++work_ & (kExecBatchSize - 1)) == 0) {
       TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
     }
-    if (left_consumed_) {
-      TMDB_ASSIGN_OR_RETURN(bool have, NextFromSide(&left_side_, &left_cur_));
-      if (!have) return std::optional<Value>();
-      TMDB_RETURN_IF_ERROR(LoadRightRun(left_cur_.first));
-      left_consumed_ = false;
-      left_matched_ = false;
-      run_pos_ = 0;
-    }
-
-    const Value& left_row = left_cur_.second;
-
-    switch (spec_.mode) {
-      case JoinMode::kInner:
-      case JoinMode::kLeftOuter: {
-        while (run_pos_ < right_run_.size()) {
-          const Value& right_row = right_run_[run_pos_++];
-          TMDB_ASSIGN_OR_RETURN(bool match,
-                                EvalJoinPred(spec_, left_row, right_row, ctx_));
-          if (match) {
-            left_matched_ = true;
-            TMDB_ASSIGN_OR_RETURN(Value out, ConcatTuples(left_row, right_row));
-            ctx_->stats->rows_emitted++;
-            return std::optional<Value>(std::move(out));
-          }
-        }
-        const bool emit_padded =
-            spec_.mode == JoinMode::kLeftOuter && !left_matched_;
-        Value padded_left = left_row;  // copy before advancing
-        left_consumed_ = true;
-        if (emit_padded) {
-          TMDB_ASSIGN_OR_RETURN(
-              Value out,
-              ConcatTuples(padded_left, NullTupleOfType(spec_.right_type)));
-          ctx_->stats->rows_emitted++;
-          return std::optional<Value>(std::move(out));
-        }
-        continue;
-      }
-
-      case JoinMode::kSemi:
-      case JoinMode::kAnti: {
-        bool matched = false;
-        for (size_t i = 0; i < right_run_.size(); ++i) {
-          TMDB_ASSIGN_OR_RETURN(
-              bool match,
-              EvalJoinPred(spec_, left_row, right_run_[i], ctx_));
-          if (match) {
-            matched = true;
-            break;
-          }
-        }
-        Value out = left_row;
-        left_consumed_ = true;
-        if (matched == (spec_.mode == JoinMode::kSemi)) {
-          ctx_->stats->rows_emitted++;
-          return std::optional<Value>(std::move(out));
-        }
-        continue;
-      }
-
-      case JoinMode::kNestJoin: {
-        std::vector<Value> group;
-        for (size_t i = 0; i < right_run_.size(); ++i) {
-          TMDB_ASSIGN_OR_RETURN(
-              bool match,
-              EvalJoinPred(spec_, left_row, right_run_[i], ctx_));
-          if (match) {
-            TMDB_ASSIGN_OR_RETURN(
-                Value g, EvalJoinFunc(spec_, left_row, right_run_[i], ctx_));
-            group.push_back(std::move(g));
-          }
-        }
-        TMDB_ASSIGN_OR_RETURN(Value out,
-                              ExtendTuple(left_row, spec_.label,
-                                          Value::Set(std::move(group))));
-        left_consumed_ = true;
-        ctx_->stats->rows_emitted++;
-        return std::optional<Value>(std::move(out));
-      }
-    }
-  }
+    Keyed left;
+    TMDB_ASSIGN_OR_RETURN(bool have, NextFromSide(&left_side_, &left));
+    if (!have) return false;
+    TMDB_RETURN_IF_ERROR(LoadRightRun(left.first));
+    TMDB_RETURN_IF_ERROR(
+        matcher_.Match(left.second, RowVecIter{&right_run_}, ctx_, buf));
+    return true;
+  };
+  return serve_.Serve(out, max, ctx_, refill);
 }
 
 void MergeJoinOp::Close() {
   left_side_.Reset(nullptr);
   right_side_.Reset(nullptr);
-  left_cur_ = Keyed();
   right_pending_ = Keyed();
   right_pending_valid_ = false;
   right_run_.clear();
   right_run_key_ = Value();
   right_run_valid_ = false;
   run_res_.Release();
+  serve_.Clear();
   // Usually closed inside the materialise phase; matters on mid-drain unwind.
   left_->Close();
   right_->Close();

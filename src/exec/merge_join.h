@@ -2,7 +2,6 @@
 #define TMDB_EXEC_MERGE_JOIN_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,10 +43,11 @@ class MergeJoinOp final : public PhysicalOp {
         right_(std::move(right)),
         spec_(std::move(spec)),
         left_keys_(std::move(left_keys)),
-        right_keys_(std::move(right_keys)) {}
+        right_keys_(std::move(right_keys)),
+        matcher_(spec_) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<std::optional<Value>> Next() override;
+  Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override;
   void Close() override;
   std::string Describe() const override;
   std::vector<const PhysicalOp*> children() const override {
@@ -105,22 +105,20 @@ class MergeJoinOp final : public PhysicalOp {
   JoinSpec spec_;
   std::vector<Expr> left_keys_;
   std::vector<Expr> right_keys_;
+  JoinMatcher matcher_;
   ExecContext* ctx_ = nullptr;
 
   SortedSide left_side_;
   SortedSide right_side_;
 
-  Keyed left_cur_;             // valid while !left_consumed_
   Keyed right_pending_;        // first right row past the current run
   bool right_pending_valid_ = false;
   bool right_eof_ = false;
   std::vector<Value> right_run_;  // rows of the current equal-key run
   Value right_run_key_;
   bool right_run_valid_ = false;
-  size_t run_pos_ = 0;         // inner-mode cursor within the run
-  bool left_consumed_ = true;  // true → advance to next left row
-  bool left_matched_ = false;
   GuardReservation run_res_;   // right-run buffer slots (live-checked)
+  JoinServe serve_;
   uint64_t work_ = 0;          // rows examined, for periodic guard checks
 };
 

@@ -1,7 +1,6 @@
 #ifndef TMDB_EXEC_NESTED_LOOP_JOIN_H_
 #define TMDB_EXEC_NESTED_LOOP_JOIN_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,10 +17,13 @@ namespace tmdb {
 class NestedLoopJoinOp final : public PhysicalOp {
  public:
   NestedLoopJoinOp(PhysicalOpPtr left, PhysicalOpPtr right, JoinSpec spec)
-      : left_(std::move(left)), right_(std::move(right)), spec_(std::move(spec)) {}
+      : left_(std::move(left)),
+        right_(std::move(right)),
+        spec_(std::move(spec)),
+        matcher_(spec_, /*checkpoint_pairs=*/true) {}
 
   Status Open(ExecContext* ctx) override;
-  Result<std::optional<Value>> Next() override;
+  Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override;
   void Close() override;
   std::string Describe() const override;
   std::vector<const PhysicalOp*> children() const override {
@@ -29,19 +31,19 @@ class NestedLoopJoinOp final : public PhysicalOp {
   }
 
  private:
-  /// Advances to the next left row, resetting the inner cursor.
-  Result<bool> AdvanceLeft();
-
   PhysicalOpPtr left_;
   PhysicalOpPtr right_;
   JoinSpec spec_;
+  // The inner scans are the quadratic hot path a guard must bound without
+  // slowing: the matcher checkpoints once per kExecBatchSize predicate
+  // evaluations.
+  JoinMatcher matcher_;
   ExecContext* ctx_ = nullptr;
 
-  std::vector<Value> right_rows_;       // materialised right input
-  std::optional<Value> current_left_;
-  size_t right_pos_ = 0;                // inner cursor (kInner/kLeftOuter)
-  bool left_matched_ = false;           // kLeftOuter bookkeeping
-  GuardReservation build_res_;          // bytes charged for right_rows_
+  std::vector<Value> right_rows_;  // materialised right input
+  BatchReader left_in_;
+  JoinServe serve_;
+  GuardReservation build_res_;     // bytes charged for right_rows_
 };
 
 }  // namespace tmdb

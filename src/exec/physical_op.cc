@@ -67,15 +67,20 @@ Result<ColumnBatch> PhysicalOp::NextColumnBatch() {
       StrCat("NextColumnBatch on a row-only operator: ", Describe()));
 }
 
-Result<size_t> PhysicalOp::NextBatch(std::vector<Value>* out, size_t max) {
-  size_t appended = 0;
-  while (appended < max) {
-    TMDB_ASSIGN_OR_RETURN(std::optional<Value> row, Next());
-    if (!row.has_value()) break;
-    out->push_back(std::move(*row));
-    ++appended;
+void BatchReader::Reset() {
+  batch_.clear();
+  pos_ = 0;
+}
+
+Result<Value*> BatchReader::Read(PhysicalOp* child, ExecContext* ctx) {
+  if (pos_ == batch_.size()) {
+    batch_.clear();
+    pos_ = 0;
+    TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
+    TMDB_ASSIGN_OR_RETURN(size_t got, child->NextBatch(&batch_, kExecBatchSize));
+    if (got == 0) return nullptr;
   }
-  return appended;
+  return &batch_[pos_++];
 }
 
 Result<std::vector<Value>> CollectRows(PhysicalOp* op, ExecContext* ctx) {

@@ -2,7 +2,6 @@
 #define TMDB_EXEC_PHYSICAL_OP_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,10 +17,13 @@ using PhysicalOpPtr = std::unique_ptr<PhysicalOp>;
 
 /// Default batch size used by the executor when draining a plan.
 inline constexpr size_t kExecBatchSize = 1024;
+static_assert((kExecBatchSize & (kExecBatchSize - 1)) == 0,
+              "periodic guard checks mask against kExecBatchSize");
 
-/// Volcano-style pull iterator over complex-object rows.
+/// Volcano-style pull iterator over complex-object rows, one batch per
+/// call.
 ///
-/// Protocol: Open(ctx) → Next()* → Close(). Open fully resets operator
+/// Protocol: Open(ctx) → NextBatch()* → Close(). Open fully resets operator
 /// state, so a plan can be executed repeatedly (the naive nested-loop
 /// strategy re-opens correlated subplans once per outer row).
 class PhysicalOp {
@@ -34,14 +36,10 @@ class PhysicalOp {
 
   /// (Re)initialises the operator. `ctx` must outlive the iteration.
   virtual Status Open(ExecContext* ctx) = 0;
-  /// Returns the next row, or nullopt at end of stream.
-  virtual Result<std::optional<Value>> Next() = 0;
-  /// Appends up to `max` rows to `out` and returns the number appended.
-  /// Returns 0 only at end of stream. The default implementation loops over
-  /// Next(); operators with materialised or vectorised state override it to
-  /// amortise the per-row virtual call. Mixing Next() and NextBatch() on the
-  /// same open operator is allowed — both advance the same cursor.
-  virtual Result<size_t> NextBatch(std::vector<Value>* out, size_t max);
+  /// Appends up to `max` (>= 1) rows to `out` and returns the number
+  /// appended. Returns 0 only at end of stream; any `max` yields the same
+  /// rows in the same order.
+  virtual Result<size_t> NextBatch(std::vector<Value>* out, size_t max) = 0;
   /// Releases per-execution state (materialised inputs, hash tables).
   virtual void Close() = 0;
 
@@ -49,10 +47,10 @@ class PhysicalOp {
   //
   // Operators over flat (all-basic-attribute) rows may additionally expose
   // their output as ColumnBatches. After Open(), a consumer checks
-  // columnar_ready(); only then may it call NextColumnBatch(). The three
-  // cursors are one: Next(), NextBatch() and NextColumnBatch() all advance
-  // the same stream, and the row forms of a columnar operator are served
-  // from ColumnStore::RowValue — bit-identical to what the row path emits.
+  // columnar_ready(); only then may it call NextColumnBatch(). The two
+  // cursors are one: NextBatch() and NextColumnBatch() advance the same
+  // stream, and the row form of a columnar operator is served from
+  // ColumnStore::RowValue — bit-identical to what the row path emits.
 
   /// True when, for the current Open(), this operator produces
   /// ColumnBatches. False (the permanent default) means row-only.
@@ -72,6 +70,23 @@ class PhysicalOp {
 
   /// Multi-line physical plan rendering.
   std::string ToString() const;
+};
+
+/// Row-at-a-time view of a child's NextBatch stream, for operators that
+/// consume their input one row at a time (the hash and nested-loop joins'
+/// probe side, μ). Each refill pulls kExecBatchSize rows behind one guard
+/// checkpoint.
+class BatchReader {
+ public:
+  /// Forgets any buffered rows (call from the owner's Open and Close).
+  void Reset();
+  /// The next input row, or nullptr at end of stream. The row stays valid,
+  /// and may be moved from, until the next call.
+  Result<Value*> Read(PhysicalOp* child, ExecContext* ctx);
+
+ private:
+  std::vector<Value> batch_;
+  size_t pos_ = 0;
 };
 
 /// Runs a physical plan to completion and collects its rows (in emission

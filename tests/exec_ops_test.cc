@@ -41,6 +41,29 @@ class ExecOpsTest : public ::testing::Test {
     return rows.ok() ? std::move(rows).value() : std::vector<Value>();
   }
 
+  /// Drains `op` with NextBatch(max = 1) and checks the rows and stats
+  /// equal a full-batch Run.
+  void ExpectOneRowDrainMatchesRun(PhysicalOp* op) {
+    const std::vector<Value> full = Run(op);
+    const ExecStats full_stats = stats_;
+    ExecStats stats;
+    ExecContext ctx;
+    ctx.stats = &stats;
+    TMDB_ASSERT_OK(op->Open(&ctx));
+    std::vector<Value> rows;
+    while (true) {
+      TMDB_ASSERT_OK_AND_ASSIGN(size_t got, op->NextBatch(&rows, 1));
+      ASSERT_LE(got, 1u);
+      if (got == 0) break;
+    }
+    op->Close();
+    ASSERT_EQ(rows.size(), full.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_TRUE(rows[i].Equals(full[i])) << "row " << i;
+    }
+    EXPECT_TRUE(testutil::StatsMatch(stats, full_stats));
+  }
+
   Expr RowVar() { return Expr::Var("t", table_->schema()); }
   Expr FieldOf(const char* f) {
     return Expr::Must(Expr::Field(RowVar(), f));
@@ -124,12 +147,15 @@ TEST_F(ExecOpsTest, UnnestFlattens) {
   // k=2 vanishes: μ is not information-preserving.
   EXPECT_TRUE(RowsEqual(rows, {IntRow({"k", "e"}, {1, 10}),
                                IntRow({"k", "e"}, {1, 11})}));
+  // k=1's two elements span two NextBatch calls.
+  ExpectOneRowDrainMatchesRun(&unnest);
 }
 
 TEST_F(ExecOpsTest, UnionDeduplicatesAcrossInputs) {
   UnionOp u(PhysicalOpPtr(new TableScanOp(table_)),
             PhysicalOpPtr(new TableScanOp(table_)));
   EXPECT_EQ(Run(&u).size(), 4u);
+  ExpectOneRowDrainMatchesRun(&u);
 }
 
 TEST_F(ExecOpsTest, DifferenceRemovesRightRows) {
@@ -142,6 +168,7 @@ TEST_F(ExecOpsTest, DifferenceRemovesRightRows) {
   std::vector<Value> rows = Run(&diff);
   EXPECT_TRUE(RowsEqual(rows, {IntRow({"k", "v"}, {2, 30}),
                                IntRow({"k", "v"}, {3, 10})}));
+  ExpectOneRowDrainMatchesRun(&diff);
 }
 
 TEST_F(ExecOpsTest, ExprSourceIteratesCorrelatedCollection) {

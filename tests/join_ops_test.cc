@@ -1,12 +1,14 @@
-// Cross-checks every join implementation (nested-loop, hash, sort-merge)
-// against each other in every mode (inner, semi, anti, left-outer, nest
-// join), on the paper's Table 1 instance and on random data.
+// Cross-checks every join implementation (nested-loop, hash with and
+// without the raw-key fast table, sort-merge) against each other in every
+// mode (inner, semi, anti, left-outer, nest join), on the paper's Table 1
+// instance and on random data, and drains each one at several batch sizes.
 
 #include <gtest/gtest.h>
 
 #include "base/random.h"
 #include "catalog/table.h"
 #include "exec/basic_ops.h"
+#include "exec/columnar.h"
 #include "exec/executor.h"
 #include "exec/hash_join.h"
 #include "exec/merge_join.h"
@@ -18,8 +20,9 @@ namespace {
 
 using testutil::IntRow;
 using testutil::RowsEqual;
+using testutil::StatsMatch;
 
-enum class Impl { kNestedLoop, kHash, kMerge };
+enum class Impl { kNestedLoop, kHash, kHashFastKey, kMerge };
 
 std::string ImplName(Impl impl) {
   switch (impl) {
@@ -27,6 +30,8 @@ std::string ImplName(Impl impl) {
       return "NestedLoop";
     case Impl::kHash:
       return "Hash";
+    case Impl::kHashFastKey:
+      return "HashFastKey";
     case Impl::kMerge:
       return "Merge";
   }
@@ -93,6 +98,15 @@ class JoinOpsTest : public ::testing::TestWithParam<JoinCase> {
         return PhysicalOpPtr(new HashJoinOp(std::move(l), std::move(r),
                                             std::move(spec), {xd}, {yb}));
       }
+      case Impl::kHashFastKey: {
+        spec.pred = Expr::True();
+        std::optional<FastKeySpec> fast =
+            ResolveFastKeys({xd}, {yb}, spec.left_var, spec.right_var);
+        EXPECT_TRUE(fast.has_value());
+        return PhysicalOpPtr(new HashJoinOp(std::move(l), std::move(r),
+                                            std::move(spec), {xd}, {yb},
+                                            std::move(fast)));
+      }
       case Impl::kMerge: {
         spec.pred = Expr::True();
         return PhysicalOpPtr(new MergeJoinOp(std::move(l), std::move(r),
@@ -107,6 +121,30 @@ class JoinOpsTest : public ::testing::TestWithParam<JoinCase> {
     auto rows = executor.RunPhysical(op);
     EXPECT_TRUE(rows.ok()) << rows.status().ToString();
     return rows.ok() ? std::move(rows).value() : std::vector<Value>();
+  }
+
+  struct Drained {
+    std::vector<Value> rows;
+    ExecStats stats;
+  };
+
+  /// Opens `op` directly and drains it with NextBatch at `max` rows per
+  /// call, checking each call honours `max`.
+  Drained DrainAt(PhysicalOp* op, size_t max) {
+    Drained d;
+    ExecContext ctx;
+    ctx.stats = &d.stats;
+    TMDB_EXPECT_OK(op->Open(&ctx));
+    while (true) {
+      const size_t before = d.rows.size();
+      Result<size_t> got = op->NextBatch(&d.rows, max);
+      EXPECT_TRUE(got.ok()) << got.status().ToString();
+      if (!got.ok() || *got == 0) break;
+      EXPECT_LE(*got, max);
+      EXPECT_EQ(d.rows.size() - before, *got);
+    }
+    op->Close();
+    return d;
   }
 
   std::shared_ptr<Table> x_;
@@ -186,6 +224,50 @@ TEST_P(JoinOpsTest, ReopenResetsState) {
   EXPECT_TRUE(RowsEqual(std::move(second), std::move(first)));
 }
 
+TEST_P(JoinOpsTest, PartialDrainsMatchFullBatchDrain) {
+  // Key 0 is hot: each of its left rows matches more right rows than one
+  // batch holds, so its inner and left-outer output spans several
+  // NextBatch calls even at max = kExecBatchSize. Keys >= 100 dangle on
+  // the left (outer padding, anti output, ∅ groups); key 50 only on the
+  // right.
+  const JoinCase param = GetParam();
+  Random rng(11);
+  TMDB_ASSERT_OK_AND_ASSIGN(
+      auto hot_x, Table::Create("HX", Type::Tuple({{"e", Type::Int()},
+                                                   {"d", Type::Int()}})));
+  TMDB_ASSERT_OK_AND_ASSIGN(
+      auto hot_y, Table::Create("HY", Type::Tuple({{"a", Type::Int()},
+                                                   {"b", Type::Int()}})));
+  for (int i = 0; i < 40; ++i) {
+    const int64_t d = i % 10 == 0 ? 0 : i < 32 ? rng.UniformInt(1, 7) : 100 + i;
+    TMDB_ASSERT_OK(hot_x->Insert(IntRow({"e", "d"}, {i, d})));
+  }
+  const int hot = static_cast<int>(kExecBatchSize) + 300;
+  for (int i = 0; i < hot + 60; ++i) {
+    const int64_t b = i < hot ? 0 : i % 6 == 0 ? 50 : rng.UniformInt(1, 7);
+    TMDB_ASSERT_OK(hot_y->Insert(IntRow({"a", "b"}, {i, b})));
+  }
+
+  PhysicalOpPtr op = MakeJoin(param.impl, param.mode, hot_x, hot_y);
+  const Drained full = DrainAt(op.get(), kExecBatchSize);
+  if (param.mode == JoinMode::kInner || param.mode == JoinMode::kLeftOuter) {
+    EXPECT_GT(full.rows.size(), 4 * kExecBatchSize);
+  }
+  PhysicalOpPtr reference =
+      MakeJoin(Impl::kNestedLoop, param.mode, hot_x, hot_y);
+  EXPECT_TRUE(RowsEqual(full.rows, Run(reference.get())));
+
+  for (size_t max : {size_t{1}, size_t{3}}) {
+    SCOPED_TRACE("max=" + std::to_string(max));
+    const Drained part = DrainAt(op.get(), max);
+    ASSERT_EQ(part.rows.size(), full.rows.size());
+    for (size_t i = 0; i < part.rows.size(); ++i) {
+      ASSERT_TRUE(part.rows[i].Equals(full.rows[i])) << "row " << i;
+    }
+    EXPECT_TRUE(StatsMatch(part.stats, full.stats));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllImplsAllModes, JoinOpsTest,
     ::testing::Values(
@@ -199,6 +281,11 @@ INSTANTIATE_TEST_SUITE_P(
         JoinCase{Impl::kHash, JoinMode::kAnti},
         JoinCase{Impl::kHash, JoinMode::kLeftOuter},
         JoinCase{Impl::kHash, JoinMode::kNestJoin},
+        JoinCase{Impl::kHashFastKey, JoinMode::kInner},
+        JoinCase{Impl::kHashFastKey, JoinMode::kSemi},
+        JoinCase{Impl::kHashFastKey, JoinMode::kAnti},
+        JoinCase{Impl::kHashFastKey, JoinMode::kLeftOuter},
+        JoinCase{Impl::kHashFastKey, JoinMode::kNestJoin},
         JoinCase{Impl::kMerge, JoinMode::kInner},
         JoinCase{Impl::kMerge, JoinMode::kSemi},
         JoinCase{Impl::kMerge, JoinMode::kAnti},

@@ -1,8 +1,7 @@
 // Determinism tests for intra-operator parallelism: any num_threads must
 // produce results *identical* to serial execution — same rows, same order,
-// same ExecStats. Also unit-tests the legacy ThreadPool (kept as the
-// static-dispatch bench baseline) and the ParallelForMorsels entry point
-// over the shared work-stealing scheduler.
+// same ExecStats. Also unit-tests the ParallelForMorsels entry point over
+// the shared work-stealing scheduler.
 
 #include <atomic>
 #include <stdexcept>
@@ -13,7 +12,6 @@
 #include "algebra/subplan.h"
 #include "base/fault_injector.h"
 #include "base/random.h"
-#include "base/thread_pool.h"
 #include "catalog/table.h"
 #include "core/database.h"
 #include "exec/basic_ops.h"
@@ -29,52 +27,6 @@ namespace tmdb {
 namespace {
 
 using testutil::IntRow;
-
-// ------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPoolTest, StartupAndShutdown) {
-  for (size_t n : {1u, 2u, 8u}) {
-    ThreadPool pool(n);
-    EXPECT_EQ(pool.num_threads(), n);
-  }
-  // Zero threads is clamped to one worker.
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1u);
-}
-
-TEST(ThreadPoolTest, RunsManyTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> sum{0};
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.Submit([i, &sum] {
-      sum.fetch_add(1, std::memory_order_relaxed);
-      return i * i;
-    }));
-  }
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(futures[i].get(), i * i);
-  EXPECT_EQ(sum.load(), 100);
-}
-
-TEST(ThreadPoolTest, DrainsQueueOnDestruction) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }  // destructor must complete all 50 before joining
-  EXPECT_EQ(ran.load(), 50);
-}
-
-TEST(ThreadPoolTest, ExceptionPropagatesThroughFuture) {
-  ThreadPool pool(2);
-  auto bad = pool.Submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  // The pool must survive a throwing task and keep serving new ones.
-  auto good = pool.Submit([] { return 7; });
-  EXPECT_EQ(good.get(), 7);
-}
 
 TEST(ParallelForMorselsTest, ThrowingBodyBecomesStatusAndSchedulerSurvives) {
   QuerySched sched(4);

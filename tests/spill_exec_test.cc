@@ -537,18 +537,21 @@ class CancellingFatSource final : public PhysicalOp {
     return Status::OK();
   }
 
-  Result<std::optional<Value>> Next() override {
-    if (emitted_ >= total_) return std::optional<Value>();
-    ++emitted_;
-    if (emitted_ == cancel_after_ && ctx_ != nullptr &&
-        ctx_->guard != nullptr) {
-      ctx_->guard->Cancel();
+  Result<size_t> NextBatch(std::vector<Value>* out, size_t max) override {
+    size_t appended = 0;
+    for (; appended < max && emitted_ < total_; ++appended) {
+      ++emitted_;
+      if (emitted_ == cancel_after_ && ctx_ != nullptr &&
+          ctx_->guard != nullptr) {
+        ctx_->guard->Cancel();
+      }
+      out->push_back(Value::Tuple(
+          {"a", "b", "pad"},
+          {Value::Int(static_cast<int64_t>(emitted_)),
+           Value::Int(static_cast<int64_t>(emitted_ % 97)),
+           Value::String(std::string(160, 'p'))}));
     }
-    return std::optional<Value>(Value::Tuple(
-        {"a", "b", "pad"},
-        {Value::Int(static_cast<int64_t>(emitted_)),
-         Value::Int(static_cast<int64_t>(emitted_ % 97)),
-         Value::String(std::string(160, 'p'))}));
+    return appended;
   }
 
   void Close() override {}
