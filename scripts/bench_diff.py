@@ -16,6 +16,11 @@ A benchmark regresses when new_time > (1 + threshold) * old_time. By
 default regressions are printed as warnings and the exit code stays 0 so a
 noisy laptop run does not fail the whole bench script; pass --strict to
 exit 1 when any regression is found (for CI).
+
+Timings from different hosts are not comparable: when the baseline's and
+the fresh file's context.num_cpus or context.library_build_type differ,
+both contexts are printed and that file's timing comparison is skipped.
+Under --strict such a file also makes the exit code 1.
 """
 
 import argparse
@@ -67,6 +72,21 @@ def benchmark_times(merged: dict) -> dict:
     return times
 
 
+# Context fields that must agree before two runs' timings are compared.
+HOST_FIELDS = ("num_cpus", "library_build_type")
+
+
+def host_mismatch(baseline: dict, fresh: dict) -> bool:
+    old_ctx = baseline.get("context", {})
+    new_ctx = fresh.get("context", {})
+    return any(old_ctx.get(f) != new_ctx.get(f) for f in HOST_FIELDS)
+
+
+def describe_context(merged: dict) -> str:
+    ctx = merged.get("context", {})
+    return ", ".join(f"{f}={ctx.get(f)}" for f in HOST_FIELDS)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description="Flag bench regressions vs the committed baselines.")
@@ -89,6 +109,7 @@ def main() -> int:
         return 0
 
     regressions = []
+    mismatched = []
     for path in files:
         relpath = path.resolve().relative_to(root).as_posix()
         baseline = committed_json(args.baseline_ref, relpath)
@@ -97,6 +118,12 @@ def main() -> int:
                   "(new suite?), skipping")
             continue
         fresh = json.loads(path.read_text())
+        if host_mismatch(baseline, fresh):
+            print(f"{relpath}: host context differs, timings not compared\n"
+                  f"  baseline: {describe_context(baseline)}\n"
+                  f"  fresh:    {describe_context(fresh)}")
+            mismatched.append(relpath)
+            continue
         old_times = benchmark_times(baseline)
         new_times = benchmark_times(fresh)
 
@@ -115,15 +142,18 @@ def main() -> int:
                   f"{old_times[key]:.3g} -> {new_times[key]:.3g} "
                   f"({(ratio - 1) * 100:+.1f}%) {tag}")
 
+    if mismatched:
+        print(f"\nbench_diff: {len(mismatched)} file(s) from a different "
+              f"host context: {', '.join(mismatched)}", file=sys.stderr)
     if regressions:
         print(f"\nbench_diff: {len(regressions)} regression(s) over "
               f"+{args.threshold * 100:.0f}%:", file=sys.stderr)
         for relpath, suite, name, ratio in regressions:
             print(f"  {relpath}: {suite}/{name} ({(ratio - 1) * 100:+.1f}%)",
                   file=sys.stderr)
-        return 1 if args.strict else 0
-    print("bench_diff: no regressions")
-    return 0
+    else:
+        print("bench_diff: no regressions")
+    return 1 if args.strict and (regressions or mismatched) else 0
 
 
 if __name__ == "__main__":

@@ -24,65 +24,52 @@ for budget in 131072 262144 524288; do
   TMDB_DIFF_BUDGET_BYTES=$budget ./build/tests/differential_exec_test
 done
 
-# TSan pass over the parallel + fault-injection + spill paths. The spill
-# suites bake in tiny (tens-of-KiB) memory budgets, so every run here
-# partitions to disk — races between morsel workers and the spill
-# write-out, and leaks on I/O-fault unwinds, surface in these trees and
-# not in plain ctest. Sanitizers need their own object files, so each
-# gets a dedicated build tree.
-cmake -B build-tsan -S . -DTMDB_SANITIZE=thread
-cmake --build build-tsan -j --target parallel_exec_test sched_test \
-  fault_injection_test \
-  spill_codec_test spill_exec_test subplan_cache_test columnar_exec_test \
-  differential_exec_test cost_model_test net_service_test \
-  executor_reuse_soak_test join_ops_test exec_ops_test exec_edge_test
-./build-tsan/tests/parallel_exec_test
-# sched_test is the work-stealing scheduler's own suite: deque discipline,
-# per-query caps, the multi-query soak (several tagged queries sharing the
-# one pool), and cancellation isolation — the highest-value TSan target in
-# the tree, since every interleaving it finds is a real scheduler race.
-./build-tsan/tests/sched_test
-./build-tsan/tests/fault_injection_test
-./build-tsan/tests/spill_codec_test
-./build-tsan/tests/spill_exec_test
-./build-tsan/tests/subplan_cache_test
-./build-tsan/tests/columnar_exec_test
-./build-tsan/tests/differential_exec_test
-# cost_model_test covers the strategy = auto paths: sampling under the
-# guard, the adaptive controller's cross-thread Observe, and the
-# mid-query kStrategySwitch restart.
-./build-tsan/tests/cost_model_test
-# Net suites bind port 0 (ephemeral), so parallel CI jobs never collide;
-# on failure they print the TMDB_NET_SEED that reproduces the schedule.
-./build-tsan/tests/net_service_test
-./build-tsan/tests/executor_reuse_soak_test
-# The operator suites drive every join implementation and basic operator
-# directly — each join mode, serve-buffer drains at several batch sizes.
-./build-tsan/tests/join_ops_test
-./build-tsan/tests/exec_ops_test
-./build-tsan/tests/exec_edge_test
-
-# ASan pass over the same suites: every injected fault must unwind without
-# leaking operator, pool, or spill-file state.
-cmake -B build-asan -S . -DTMDB_SANITIZE=address
-cmake --build build-asan -j --target parallel_exec_test sched_test \
-  fault_injection_test \
-  spill_codec_test spill_exec_test subplan_cache_test columnar_exec_test \
-  differential_exec_test cost_model_test net_service_test \
-  executor_reuse_soak_test join_ops_test exec_ops_test exec_edge_test
-./build-asan/tests/parallel_exec_test
-./build-asan/tests/sched_test
-./build-asan/tests/fault_injection_test
-./build-asan/tests/spill_codec_test
-./build-asan/tests/spill_exec_test
-./build-asan/tests/subplan_cache_test
-./build-asan/tests/columnar_exec_test
-./build-asan/tests/differential_exec_test
-./build-asan/tests/cost_model_test
-./build-asan/tests/net_service_test
-./build-asan/tests/executor_reuse_soak_test
-./build-asan/tests/join_ops_test
-./build-asan/tests/exec_ops_test
-./build-asan/tests/exec_edge_test
+# Sanitizer passes over the parallel + fault-injection + spill paths: TSan
+# for races, ASan for leaks and overflows (every injected fault must unwind
+# without leaking operator, pool, or spill-file state). The spill suites
+# bake in tiny (tens-of-KiB) memory budgets, so every run here partitions
+# to disk — races between morsel workers and the spill write-out, and leaks
+# on I/O-fault unwinds, surface in these trees and not in plain ctest.
+# Sanitizers need their own object files, so each gets a dedicated build
+# tree.
+SANITIZER_SUITES=(
+  parallel_exec_test
+  # sched_test is the work-stealing scheduler's own suite: deque
+  # discipline, per-query caps, the multi-query soak (several tagged
+  # queries sharing the one pool), and cancellation isolation — the
+  # highest-value TSan target in the tree, since every interleaving it
+  # finds is a real scheduler race.
+  sched_test
+  fault_injection_test
+  spill_codec_test
+  spill_exec_test
+  subplan_cache_test
+  columnar_exec_test
+  differential_exec_test
+  # cost_model_test covers the strategy = auto paths: sampling under the
+  # guard, the adaptive controller's cross-thread Observe, and the
+  # mid-query kStrategySwitch restart.
+  cost_model_test
+  # Net suites bind port 0 (ephemeral), so parallel CI jobs never collide;
+  # on failure they print the TMDB_NET_SEED that reproduces the schedule.
+  net_service_test
+  # net_wire_test feeds the payload decoders, the counter-table-driven
+  # stats decoder among them, truncated and trailing-byte input.
+  net_wire_test
+  executor_reuse_soak_test
+  # The operator suites drive every join implementation and basic operator
+  # directly — each join mode, serve-buffer drains at several batch sizes.
+  join_ops_test
+  exec_ops_test
+  exec_edge_test
+)
+for sanitizer in thread address; do
+  tree="build-${sanitizer:0:1}san"
+  cmake -B "$tree" -S . -DTMDB_SANITIZE="$sanitizer"
+  cmake --build "$tree" -j --target "${SANITIZER_SUITES[@]}"
+  for suite in "${SANITIZER_SUITES[@]}"; do
+    "./$tree/tests/$suite"
+  done
+done
 
 echo "tier1: OK"

@@ -12,42 +12,75 @@ class QueryGuard;
 class QuerySched;
 class SpillManager;
 
-/// Counters accumulated during one execution. They expose the *work* a
-/// strategy does (the quantity the paper's argument is about), independent
-/// of wall-clock noise: a nested-loop plan shows quadratic predicate_evals
-/// where the unnested plan shows linear probes.
+/// How a counter combines when per-morsel blocks fold into the query's.
+enum class StatMerge { kSum, kMax };
+
+/// Whether a counter is deterministic work (fixed by the data and the plan,
+/// so serial and parallel runs must agree) or schedule- and strategy-
+/// dependent telemetry.
+enum class StatKind { kWork, kTelemetry };
+
+/// The one counter table: X(name, merge, kind) per counter. Table order is
+/// the struct's field order, ToString's order and the stats wire payload's
+/// order, so append new counters at the end. Adding a counter is one line
+/// here plus the code that increments it.
+///
+/// Work counters expose what a strategy does (the quantity the paper's
+/// argument is about), free of wall-clock noise: a nested-loop plan shows
+/// quadratic predicate_evals where the unnested plan shows linear probes.
+/// Telemetry: guard_checkpoints depends on where batches and morsels fall;
+/// strategy_chosen is 1 + the Strategy enum value (0 = unrecorded, see
+/// StrategyStatCode); morsels_dispatched is the sum of the morsel-set sizes
+/// the query submitted (it depends on the thread cap) and morsels_stolen
+/// the subset run via another worker's deque (timing-dependent), exposed so
+/// starvation shows up as numbers instead of latency.
+#define TMDB_EXEC_STATS(X)                                                     \
+  X(rows_emitted, kSum, kWork)                 /* rows leaving any operator */ \
+  X(predicate_evals, kSum, kWork)              /* join/select pred. evals */   \
+  X(subplan_evals, kSum, kWork)                /* subplan runs, not hits */    \
+  X(hash_probes, kSum, kWork)                  /* hash table lookups */        \
+  X(rows_built, kSum, kWork)                   /* rows in build tables */      \
+  X(spill_partitions, kSum, kWork)             /* partition files written */   \
+  X(spill_bytes_written, kSum, kWork)          /* bytes via spill writers */   \
+  X(spill_bytes_read, kSum, kWork)             /* bytes via spill readers */   \
+  X(spill_max_depth, kMax, kWork)              /* deepest repartition level */ \
+  X(spill_sort_runs, kSum, kWork)              /* external-sort runs */        \
+  X(subplan_cache_hits, kSum, kWork)           /* memoized results served */   \
+  X(subplan_cache_misses, kSum, kWork)         /* distinct corr. keys run */   \
+  X(subplan_cache_evictions, kSum, kWork)      /* dropped under pressure */    \
+  X(subplan_cache_disk_evictions, kSum, kWork) /* moved to spill blocks */     \
+  X(subplan_cache_disk_faults, kSum, kWork)    /* read back from disk */       \
+  X(guard_checkpoints, kSum, kTelemetry)       /* QueryGuard::Check calls */   \
+  X(strategy_chosen, kSum, kTelemetry)         /* 1 + Strategy; 0 = unset */   \
+  X(strategy_switches, kSum, kTelemetry)       /* adaptive re-plans taken */   \
+  X(est_distinct_corr, kSum, kTelemetry)       /* cost model's estimate */     \
+  X(morsels_dispatched, kSum, kTelemetry)      /* morsels the sched ran */     \
+  X(morsels_stolen, kSum, kTelemetry)          /* of those, stolen */
+
+/// Counters accumulated during one execution, one field per table entry.
 struct ExecStats {
-  uint64_t rows_emitted = 0;     // rows leaving any operator
-  uint64_t predicate_evals = 0;  // join/select predicate evaluations
-  uint64_t subplan_evals = 0;    // subplan executions (cache hits excluded)
-  uint64_t hash_probes = 0;      // hash table lookups in hash joins
-  uint64_t rows_built = 0;       // rows materialised into build tables
-  uint64_t spill_partitions = 0;    // partition files written by spilling ops
-  uint64_t spill_bytes_written = 0; // bytes through spill writers
-  uint64_t spill_bytes_read = 0;    // bytes through spill readers
-  uint64_t spill_max_depth = 0;     // deepest recursive partitioning level
-  uint64_t spill_sort_runs = 0;     // sorted runs written by external sorts
-  uint64_t subplan_cache_hits = 0;      // memoized subplan results served
-  uint64_t subplan_cache_misses = 0;    // distinct correlation keys computed
-  uint64_t subplan_cache_evictions = 0; // entries dropped under memory pressure
-  uint64_t subplan_cache_disk_evictions = 0;  // entries evicted to spill blocks
-  uint64_t subplan_cache_disk_faults = 0;     // on-disk entries faulted back in
-  uint64_t guard_checkpoints = 0;       // QueryGuard::Check calls this run
-  // Strategy-decision telemetry (strategy = auto; see StrategyStatCode).
-  uint64_t strategy_chosen = 0;     // 1 + Strategy enum value; 0 = unrecorded
-  uint64_t strategy_switches = 0;   // mid-query adaptive re-plans taken
-  uint64_t est_distinct_corr = 0;   // cost model's distinct-correlation est.
-  // Work-stealing scheduler telemetry. morsels_dispatched is deterministic
-  // (the sum of morsel-set sizes the query submitted); morsels_stolen
-  // counts the subset executed via tickets taken from another worker's
-  // deque — scheduling-dependent by nature, exposed so starvation shows up
-  // as numbers instead of latency. Neither participates in the serial-vs-
-  // parallel stats-identity contract.
-  uint64_t morsels_dispatched = 0;  // morsels run through the scheduler
-  uint64_t morsels_stolen = 0;      // of those, run via work stealing
+#define TMDB_STAT_FIELD(name, merge, kind) uint64_t name = 0;
+  TMDB_EXEC_STATS(TMDB_STAT_FIELD)
+#undef TMDB_STAT_FIELD
 
   void Reset() { *this = ExecStats(); }
+  /// Every counter in table order as `name=value`, space-separated.
   std::string ToString() const;
+};
+
+/// One table entry, for code that iterates the counters.
+struct StatCounter {
+  const char* name;
+  uint64_t ExecStats::*field;
+  StatMerge merge;
+  StatKind kind;
+};
+
+inline constexpr StatCounter kStatCounters[] = {
+#define TMDB_STAT_ENTRY(name, merge, kind) \
+  {#name, &ExecStats::name, StatMerge::merge, StatKind::kind},
+    TMDB_EXEC_STATS(TMDB_STAT_ENTRY)
+#undef TMDB_STAT_ENTRY
 };
 
 /// Per-execution state threaded through the physical operators.

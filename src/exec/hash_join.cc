@@ -174,29 +174,18 @@ Status HashJoinOp::BuildInMemory(ExecContext* ctx, std::vector<Value>* rows_in) 
     // Parallel stage 1 (morsels): evaluate the key expressions once per
     // build row and pre-compute the key hashes (cached inside the Value
     // rep, so partitioning and map insertion below re-use them).
-    std::vector<MorselRange> morsels = SplitMorsels(n, ctx->num_threads);
-    std::vector<ExecStats> key_stats(morsels.size());
-    std::vector<std::unique_ptr<SubplanEvaluator>> key_evals =
-        ForkSubplanEvaluators(ctx->subplans, &key_stats);
-    TMDB_RETURN_IF_ERROR(ParallelForMorsels(
-        ctx->sched, ctx->guard, morsels,
-        [&](size_t m, MorselRange range) -> Status {
-          ExecContext wctx;
-          wctx.outer_env = ctx->outer_env;
-          wctx.subplans =
-              key_evals[m] != nullptr ? key_evals[m].get() : ctx->subplans;
-          wctx.stats = &key_stats[m];
-          wctx.guard = ctx->guard;
+    TMDB_RETURN_IF_ERROR(ParallelForMorselsWithStats(
+        ctx, SplitMorsels(n, ctx->num_threads),
+        [&](size_t, MorselRange range, ExecContext* wctx) -> Status {
           for (size_t i = range.begin; i < range.end; ++i) {
-            TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(&wctx, i - range.begin));
+            TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(wctx, i - range.begin));
             TMDB_ASSIGN_OR_RETURN(keys[i],
                                   EvalCompositeKey(right_keys_, spec_.right_var,
-                                                   rows[i], &wctx));
+                                                   rows[i], wctx));
             hashes[i] = keys[i].Hash();
           }
           return Status::OK();
         }));
-    AccumulateStats(key_stats, ctx->stats);
   }
 
   // Pass B: move keys and rows into the hash maps. No fresh tracked values
@@ -487,27 +476,17 @@ Status HashJoinOp::ParallelProbe() {
   std::vector<MorselRange> morsels = SplitMorsels(rows.size(),
                                                   ctx_->num_threads);
   std::vector<std::vector<Value>> outputs(morsels.size());
-  std::vector<ExecStats> local_stats(morsels.size());
-  std::vector<std::unique_ptr<SubplanEvaluator>> probe_evals =
-      ForkSubplanEvaluators(ctx_->subplans, &local_stats);
-  TMDB_RETURN_IF_ERROR(ParallelForMorsels(
-      ctx_->sched, ctx_->guard, morsels,
-      [&](size_t m, MorselRange range) -> Status {
-        ExecContext wctx;
-        wctx.outer_env = ctx_->outer_env;
-        wctx.subplans =
-            probe_evals[m] != nullptr ? probe_evals[m].get() : ctx_->subplans;
-        wctx.stats = &local_stats[m];
-        wctx.guard = ctx_->guard;
+  TMDB_RETURN_IF_ERROR(ParallelForMorselsWithStats(
+      ctx_, morsels,
+      [&](size_t m, MorselRange range, ExecContext* wctx) -> Status {
         for (size_t i = range.begin; i < range.end; ++i) {
-          TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(&wctx, i - range.begin));
-          TMDB_RETURN_IF_ERROR(ProcessLeftRow(rows[i], &wctx, &outputs[m]));
+          TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(wctx, i - range.begin));
+          TMDB_RETURN_IF_ERROR(ProcessLeftRow(rows[i], wctx, &outputs[m]));
         }
         return Status::OK();
       }));
   // Concatenating in morsel order reproduces the serial emission order;
   // rows_emitted is counted at serve time, as on the serial path.
-  AccumulateStats(local_stats, ctx_->stats);
   size_t total = 0;
   for (const std::vector<Value>& part : outputs) total += part.size();
   TMDB_RETURN_IF_ERROR(build_res_.Add(total * sizeof(Value)));

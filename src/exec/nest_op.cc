@@ -123,21 +123,15 @@ Status NestOp::OpenParallel(std::vector<Value>* rows_ptr) {
   std::vector<Value> elems(n);
   const uint64_t scratch_bytes = n * (2 * sizeof(Value) + sizeof(uint64_t));
   TMDB_RETURN_IF_ERROR(build_res_.Add(scratch_bytes));
-  std::vector<MorselRange> morsels = SplitMorsels(n, ctx_->num_threads);
-  // Per-morsel forked subplan evaluators (sharing the run's memo cache) and
-  // local stats blocks let ν handle subplan-bearing element functions on
-  // the parallel path; the counters sum back in morsel order below.
-  std::vector<ExecStats> local_stats(morsels.size());
-  std::vector<std::unique_ptr<SubplanEvaluator>> elem_evals =
-      ForkSubplanEvaluators(ctx_->subplans, &local_stats);
-  TMDB_RETURN_IF_ERROR(ParallelForMorsels(
-      ctx_->sched, ctx_->guard, morsels,
-      [&](size_t m, MorselRange range) -> Status {
-        SubplanEvaluator* subplans =
-            elem_evals[m] != nullptr ? elem_evals[m].get() : ctx_->subplans;
+  // Per-morsel worker contexts (forked subplan evaluators sharing the run's
+  // memo cache, private stats blocks) let ν handle subplan-bearing element
+  // functions on the parallel path.
+  TMDB_RETURN_IF_ERROR(ParallelForMorselsWithStats(
+      ctx_, SplitMorsels(n, ctx_->num_threads),
+      [&](size_t, MorselRange range, ExecContext* wctx) -> Status {
         for (size_t i = range.begin; i < range.end; ++i) {
           if (((i - range.begin) & (kExecBatchSize - 1)) == 0) {
-            TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
+            TMDB_RETURN_IF_ERROR(CheckGuard(wctx));
           }
           std::vector<Value> key_values;
           key_values.reserve(group_attrs_.size());
@@ -149,11 +143,10 @@ Status NestOp::OpenParallel(std::vector<Value>* rows_ptr) {
           hashes[i] = keys[i].Hash();
           Environment env(ctx_->outer_env);
           env.Bind(var_, rows[i]);
-          TMDB_ASSIGN_OR_RETURN(elems[i], EvalExpr(elem_, env, subplans));
+          TMDB_ASSIGN_OR_RETURN(elems[i], EvalExpr(elem_, env, wctx->subplans));
         }
         return Status::OK();
       }));
-  AccumulateStats(local_stats, ctx_->stats);
 
   // Stage 2 (parallel over partitions): each worker groups one disjoint
   // hash partition, scanning rows in order so element order inside a group

@@ -2,45 +2,13 @@
 
 #include <algorithm>
 #include <exception>
+#include <memory>
 #include <utility>
 
 #include "base/string_util.h"
 #include "exec/query_guard.h"
 
 namespace tmdb {
-
-void AccumulateStats(const std::vector<ExecStats>& locals, ExecStats* total) {
-  for (const ExecStats& s : locals) {
-    total->rows_emitted += s.rows_emitted;
-    total->predicate_evals += s.predicate_evals;
-    total->subplan_evals += s.subplan_evals;
-    total->hash_probes += s.hash_probes;
-    total->rows_built += s.rows_built;
-    total->spill_partitions += s.spill_partitions;
-    total->spill_bytes_written += s.spill_bytes_written;
-    total->spill_bytes_read += s.spill_bytes_read;
-    total->spill_max_depth = std::max(total->spill_max_depth,
-                                      s.spill_max_depth);
-    total->spill_sort_runs += s.spill_sort_runs;
-    total->subplan_cache_hits += s.subplan_cache_hits;
-    total->subplan_cache_misses += s.subplan_cache_misses;
-    total->subplan_cache_evictions += s.subplan_cache_evictions;
-    total->subplan_cache_disk_evictions += s.subplan_cache_disk_evictions;
-    total->subplan_cache_disk_faults += s.subplan_cache_disk_faults;
-    total->guard_checkpoints += s.guard_checkpoints;
-  }
-}
-
-std::vector<std::unique_ptr<SubplanEvaluator>> ForkSubplanEvaluators(
-    SubplanEvaluator* subplans, std::vector<ExecStats>* local_stats) {
-  std::vector<std::unique_ptr<SubplanEvaluator>> forked(local_stats->size());
-  if (subplans != nullptr) {
-    for (size_t m = 0; m < forked.size(); ++m) {
-      forked[m] = subplans->Fork(&(*local_stats)[m]);
-    }
-  }
-  return forked;
-}
 
 std::vector<MorselRange> SplitMorsels(size_t n, int num_threads) {
   std::vector<MorselRange> morsels;
@@ -65,6 +33,15 @@ std::vector<MorselRange> SplitMorsels(size_t n, int num_threads) {
 }
 
 namespace {
+
+void MergeStats(const ExecStats& from, ExecStats* into) {
+  for (const StatCounter& counter : kStatCounters) {
+    uint64_t& total = into->*counter.field;
+    const uint64_t value = from.*counter.field;
+    total = counter.merge == StatMerge::kMax ? std::max(total, value)
+                                             : total + value;
+  }
+}
 
 // Task boundary: checkpoint first (a tripped guard skips the work), then
 // run the body with exceptions converted to Status so nothing escapes into
@@ -106,6 +83,30 @@ Status ParallelForMorsels(
       sched, morsels.size(), [&body, guard, &morsels](size_t i) {
         return RunMorselTask(guard, body, i, morsels[i]);
       });
+}
+
+Status ParallelForMorselsWithStats(
+    const ExecContext* ctx, const std::vector<MorselRange>& morsels,
+    const std::function<Status(size_t, MorselRange, ExecContext*)>& body) {
+  std::vector<ExecStats> local_stats(morsels.size());
+  std::vector<std::unique_ptr<SubplanEvaluator>> forked(morsels.size());
+  if (ctx->subplans != nullptr) {
+    for (size_t m = 0; m < morsels.size(); ++m) {
+      forked[m] = ctx->subplans->Fork(&local_stats[m]);
+    }
+  }
+  TMDB_RETURN_IF_ERROR(ParallelForMorsels(
+      ctx->sched, ctx->guard, morsels,
+      [&](size_t m, MorselRange range) -> Status {
+        ExecContext wctx;
+        wctx.outer_env = ctx->outer_env;
+        wctx.subplans = forked[m] != nullptr ? forked[m].get() : ctx->subplans;
+        wctx.stats = &local_stats[m];
+        wctx.guard = ctx->guard;
+        return body(m, range, &wctx);
+      }));
+  for (const ExecStats& local : local_stats) MergeStats(local, ctx->stats);
+  return Status::OK();
 }
 
 }  // namespace tmdb

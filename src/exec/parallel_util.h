@@ -3,30 +3,13 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "base/result.h"
 #include "exec/exec_context.h"
-#include "expr/eval.h"
 #include "sched/scheduler.h"
 
 namespace tmdb {
-
-/// Sums worker-local counters into the shared stats, in morsel order, so a
-/// parallel run reports exactly the counters of its serial equivalent.
-/// spill_max_depth is a high-water mark and is maxed rather than summed.
-void AccumulateStats(const std::vector<ExecStats>& locals, ExecStats* total);
-
-/// One forked subplan evaluator per morsel, each writing to that morsel's
-/// entry in `local_stats`, so subplan-bearing expressions run safely inside
-/// worker tasks and their counters sum back deterministically (this is what
-/// lets the morsel paths handle correlated subqueries with no serial
-/// fallback). A slot is nullptr when `subplans` is null or cannot fork;
-/// workers then fall back to sharing `subplans` itself, which the Fork
-/// contract requires to be thread-safe in that case.
-std::vector<std::unique_ptr<SubplanEvaluator>> ForkSubplanEvaluators(
-    SubplanEvaluator* subplans, std::vector<ExecStats>* local_stats);
 
 /// A contiguous index range [begin, end) — one unit of parallel work.
 struct MorselRange {
@@ -71,6 +54,19 @@ class QueryGuard;
 Status ParallelForMorsels(QuerySched* sched, QueryGuard* guard,
                           const std::vector<MorselRange>& morsels,
                           const std::function<Status(size_t, MorselRange)>& body);
+
+/// ParallelForMorsels for operator work that evaluates expressions. Each
+/// morsel's body gets its own serial worker ExecContext: the caller's outer
+/// environment and guard, a private ExecStats block, and a subplan
+/// evaluator forked onto that block, so subplan-bearing expressions run
+/// safely inside worker tasks (no serial fallback for correlated
+/// subqueries). When `ctx->subplans` cannot fork, workers share it, which
+/// the Fork contract then requires to be thread-safe. On success the blocks
+/// merge into `ctx->stats` in morsel order under each counter's merge rule,
+/// so a parallel run reports exactly the counters of its serial equivalent.
+Status ParallelForMorselsWithStats(
+    const ExecContext* ctx, const std::vector<MorselRange>& morsels,
+    const std::function<Status(size_t, MorselRange, ExecContext*)>& body);
 
 }  // namespace tmdb
 

@@ -6,39 +6,10 @@
 namespace tmdb {
 
 std::string ExecStats::ToString() const {
-  std::string out =
-      StrCat("rows_emitted=", rows_emitted,
-             " predicate_evals=", predicate_evals,
-             " subplan_evals=", subplan_evals, " hash_probes=", hash_probes,
-             " rows_built=", rows_built);
-  if (spill_partitions > 0 || spill_sort_runs > 0) {
-    out += StrCat(" spill_partitions=", spill_partitions,
-                  " spill_bytes_written=", spill_bytes_written,
-                  " spill_bytes_read=", spill_bytes_read,
-                  " spill_max_depth=", spill_max_depth,
-                  " spill_sort_runs=", spill_sort_runs);
-  }
-  if (subplan_cache_hits > 0 || subplan_cache_misses > 0 ||
-      subplan_cache_evictions > 0) {
-    out += StrCat(" subplan_cache_hits=", subplan_cache_hits,
-                  " subplan_cache_misses=", subplan_cache_misses,
-                  " subplan_cache_evictions=", subplan_cache_evictions);
-  }
-  if (subplan_cache_disk_evictions > 0 || subplan_cache_disk_faults > 0) {
-    out += StrCat(" subplan_cache_disk_evictions=", subplan_cache_disk_evictions,
-                  " subplan_cache_disk_faults=", subplan_cache_disk_faults);
-  }
-  if (guard_checkpoints > 0) {
-    out += StrCat(" guard_checkpoints=", guard_checkpoints);
-  }
-  if (strategy_chosen > 0) {
-    out += StrCat(" strategy_chosen=", strategy_chosen,
-                  " strategy_switches=", strategy_switches,
-                  " est_distinct_corr=", est_distinct_corr);
-  }
-  if (morsels_dispatched > 0) {
-    out += StrCat(" morsels_dispatched=", morsels_dispatched,
-                  " morsels_stolen=", morsels_stolen);
+  std::string out;
+  for (const StatCounter& counter : kStatCounters) {
+    if (!out.empty()) out += ' ';
+    out += StrCat(counter.name, "=", this->*counter.field);
   }
   return out;
 }

@@ -261,49 +261,15 @@ Status DecodeDonePayload(std::string_view payload, std::string* message) {
 }
 
 void EncodeStatsPayload(const ExecStats& stats, std::string* out) {
-  PutVarint(stats.rows_emitted, out);
-  PutVarint(stats.predicate_evals, out);
-  PutVarint(stats.subplan_evals, out);
-  PutVarint(stats.hash_probes, out);
-  PutVarint(stats.rows_built, out);
-  PutVarint(stats.spill_partitions, out);
-  PutVarint(stats.spill_bytes_written, out);
-  PutVarint(stats.spill_bytes_read, out);
-  PutVarint(stats.spill_max_depth, out);
-  PutVarint(stats.spill_sort_runs, out);
-  PutVarint(stats.subplan_cache_hits, out);
-  PutVarint(stats.subplan_cache_misses, out);
-  PutVarint(stats.subplan_cache_evictions, out);
-  PutVarint(stats.subplan_cache_disk_evictions, out);
-  PutVarint(stats.subplan_cache_disk_faults, out);
-  PutVarint(stats.guard_checkpoints, out);
-  PutVarint(stats.strategy_chosen, out);
-  PutVarint(stats.strategy_switches, out);
-  PutVarint(stats.est_distinct_corr, out);
-  PutVarint(stats.morsels_dispatched, out);
-  PutVarint(stats.morsels_stolen, out);
+  for (const StatCounter& counter : kStatCounters) {
+    PutVarint(stats.*counter.field, out);
+  }
 }
 
 Status DecodeStatsPayload(std::string_view payload, ExecStats* stats) {
   size_t pos = 0;
-  uint64_t* const fields[] = {
-      &stats->rows_emitted,          &stats->predicate_evals,
-      &stats->subplan_evals,         &stats->hash_probes,
-      &stats->rows_built,            &stats->spill_partitions,
-      &stats->spill_bytes_written,   &stats->spill_bytes_read,
-      &stats->spill_max_depth,       &stats->spill_sort_runs,
-      &stats->subplan_cache_hits,    &stats->subplan_cache_misses,
-      &stats->subplan_cache_evictions,
-      &stats->subplan_cache_disk_evictions,
-      &stats->subplan_cache_disk_faults,
-      &stats->guard_checkpoints,
-      &stats->strategy_chosen,
-      &stats->strategy_switches,
-      &stats->est_distinct_corr,
-      &stats->morsels_dispatched,
-      &stats->morsels_stolen};
-  for (uint64_t* field : fields) {
-    TMDB_RETURN_IF_ERROR(GetVarint(payload, &pos, field));
+  for (const StatCounter& counter : kStatCounters) {
+    TMDB_RETURN_IF_ERROR(GetVarint(payload, &pos, &(stats->*counter.field)));
   }
   if (pos != payload.size()) {
     return Status::IoError("wire: trailing bytes after stats payload");

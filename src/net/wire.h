@@ -161,7 +161,8 @@ Status DecodeRowsPayload(std::string_view payload, std::vector<Value>* out);
 void EncodeDonePayload(std::string_view message, std::string* out);
 Status DecodeDonePayload(std::string_view payload, std::string* message);
 
-/// kStats payload codec: the full ExecStats counter block as varints.
+/// kStats payload codec: every ExecStats counter as a varint, in counter
+/// table order.
 void EncodeStatsPayload(const ExecStats& stats, std::string* out);
 Status DecodeStatsPayload(std::string_view payload, ExecStats* stats);
 

@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "base/fault_injector.h"
+#include "exec/exec_context.h"
 #include "net/wire.h"
 #include "values/value.h"
 
@@ -231,6 +233,31 @@ TEST(WirePayloadTest, RowsRoundtripThroughCanonicalCodec) {
 }
 
 TEST(WirePayloadTest, StatsRoundtripAllCounters) {
+  // A distinct value per counter, most of them multi-byte varints, so a
+  // swapped or dropped field cannot decode to the right block.
+  ExecStats in;
+  uint64_t i = 0;
+  for (const StatCounter& counter : kStatCounters) {
+    in.*counter.field = (uint64_t{1} << (3 * i)) + i;
+    ++i;
+  }
+  std::string payload;
+  EncodeStatsPayload(in, &payload);
+  ExecStats out;
+  ASSERT_TRUE(DecodeStatsPayload(payload, &out).ok());
+  for (const StatCounter& counter : kStatCounters) {
+    EXPECT_EQ(out.*counter.field, in.*counter.field) << counter.name;
+  }
+  EXPECT_FALSE(DecodeStatsPayload(payload + "x", &out).ok());
+  EXPECT_FALSE(
+      DecodeStatsPayload(payload.substr(0, payload.size() - 1), &out).ok());
+}
+
+// Pins the stats payload bytes: each counter is set by name to its 1-based
+// wire position, so the payload is the one-byte varints 0x01..0x15 in wire
+// order. Reordering the counter table changes the wire format and fails
+// here.
+TEST(WirePayloadTest, StatsPayloadGoldenBytes) {
   ExecStats in;
   in.rows_emitted = 1;
   in.predicate_evals = 2;
@@ -241,37 +268,28 @@ TEST(WirePayloadTest, StatsRoundtripAllCounters) {
   in.spill_bytes_written = 7;
   in.spill_bytes_read = 8;
   in.spill_max_depth = 9;
-  in.spill_sort_runs = 14;
-  in.subplan_cache_hits = 10;
-  in.subplan_cache_misses = 11;
-  in.subplan_cache_evictions = 12;
-  in.subplan_cache_disk_evictions = 15;
-  in.subplan_cache_disk_faults = 16;
-  in.guard_checkpoints = 13;
-  in.morsels_dispatched = 17;
-  in.morsels_stolen = 18;
+  in.spill_sort_runs = 10;
+  in.subplan_cache_hits = 11;
+  in.subplan_cache_misses = 12;
+  in.subplan_cache_evictions = 13;
+  in.subplan_cache_disk_evictions = 14;
+  in.subplan_cache_disk_faults = 15;
+  in.guard_checkpoints = 16;
+  in.strategy_chosen = 17;
+  in.strategy_switches = 18;
+  in.est_distinct_corr = 19;
+  in.morsels_dispatched = 20;
+  in.morsels_stolen = 21;
+  std::string golden;
+  for (char byte = 0x01; byte <= 0x15; ++byte) golden.push_back(byte);
   std::string payload;
   EncodeStatsPayload(in, &payload);
-  ExecStats out;
-  ASSERT_TRUE(DecodeStatsPayload(payload, &out).ok());
-  EXPECT_EQ(out.rows_emitted, in.rows_emitted);
-  EXPECT_EQ(out.predicate_evals, in.predicate_evals);
-  EXPECT_EQ(out.subplan_evals, in.subplan_evals);
-  EXPECT_EQ(out.hash_probes, in.hash_probes);
-  EXPECT_EQ(out.rows_built, in.rows_built);
-  EXPECT_EQ(out.spill_partitions, in.spill_partitions);
-  EXPECT_EQ(out.spill_bytes_written, in.spill_bytes_written);
-  EXPECT_EQ(out.spill_bytes_read, in.spill_bytes_read);
-  EXPECT_EQ(out.spill_max_depth, in.spill_max_depth);
-  EXPECT_EQ(out.spill_sort_runs, in.spill_sort_runs);
-  EXPECT_EQ(out.subplan_cache_hits, in.subplan_cache_hits);
-  EXPECT_EQ(out.subplan_cache_misses, in.subplan_cache_misses);
-  EXPECT_EQ(out.subplan_cache_evictions, in.subplan_cache_evictions);
-  EXPECT_EQ(out.subplan_cache_disk_evictions, in.subplan_cache_disk_evictions);
-  EXPECT_EQ(out.subplan_cache_disk_faults, in.subplan_cache_disk_faults);
-  EXPECT_EQ(out.guard_checkpoints, in.guard_checkpoints);
-  EXPECT_EQ(out.morsels_dispatched, in.morsels_dispatched);
-  EXPECT_EQ(out.morsels_stolen, in.morsels_stolen);
+  EXPECT_EQ(payload, golden);
+  ExecStats decoded;
+  ASSERT_TRUE(DecodeStatsPayload(golden, &decoded).ok());
+  std::string reencoded;
+  EncodeStatsPayload(decoded, &reencoded);
+  EXPECT_EQ(reencoded, golden);
 }
 
 TEST(WireFaultChannelTest, SendChannelFiresOnNthSendOnly) {

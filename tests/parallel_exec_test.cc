@@ -121,19 +121,6 @@ void ExpectIdentical(const std::vector<Value>& actual,
   }
 }
 
-void ExpectSameStats(const ExecStats& a, const ExecStats& b) {
-  EXPECT_EQ(a.rows_emitted, b.rows_emitted);
-  EXPECT_EQ(a.predicate_evals, b.predicate_evals);
-  EXPECT_EQ(a.subplan_evals, b.subplan_evals);
-  EXPECT_EQ(a.hash_probes, b.hash_probes);
-  EXPECT_EQ(a.rows_built, b.rows_built);
-  // Memoization counters are scheduling-independent: misses = distinct
-  // correlation keys, hits = acquires − misses, both fixed by the data.
-  EXPECT_EQ(a.subplan_cache_hits, b.subplan_cache_hits);
-  EXPECT_EQ(a.subplan_cache_misses, b.subplan_cache_misses);
-  EXPECT_EQ(a.subplan_cache_evictions, b.subplan_cache_evictions);
-}
-
 struct RunOutcome {
   std::vector<Value> rows;
   ExecStats stats;
@@ -199,7 +186,7 @@ TEST_P(ParallelHashJoinTest, MatchesSerialExactly) {
   for (int threads : {2, 4, 8}) {
     RunOutcome parallel = RunWithThreads(op.get(), threads);
     ExpectIdentical(parallel.rows, serial.rows);
-    ExpectSameStats(parallel.stats, serial.stats);
+    EXPECT_TRUE(testutil::StatsMatch(parallel.stats, serial.stats));
   }
 }
 
@@ -280,7 +267,7 @@ TEST_F(ParallelNestTest, PlainNestMatchesSerial) {
   for (int threads : {2, 4, 8}) {
     RunOutcome parallel = RunWithThreads(plan.get(), threads);
     ExpectIdentical(parallel.rows, serial.rows);
-    ExpectSameStats(parallel.stats, serial.stats);
+    EXPECT_TRUE(testutil::StatsMatch(parallel.stats, serial.stats));
   }
 }
 
@@ -314,7 +301,7 @@ TEST_F(ParallelNestTest, OuterJoinThenNestStarMatchesSerial) {
   for (int threads : {2, 4, 8}) {
     RunOutcome parallel = RunWithThreads(plan.get(), threads);
     ExpectIdentical(parallel.rows, serial.rows);
-    ExpectSameStats(parallel.stats, serial.stats);
+    EXPECT_TRUE(testutil::StatsMatch(parallel.stats, serial.stats));
   }
 }
 
@@ -451,7 +438,7 @@ TEST_F(SubplanParallelTest, HashJoinWithSubplanKeysAndPredMatchesSerial) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       RunOutcome parallel = RunWithThreads(op.get(), threads);
       ExpectIdentical(parallel.rows, serial.rows);
-      ExpectSameStats(parallel.stats, serial.stats);
+      EXPECT_TRUE(testutil::StatsMatch(parallel.stats, serial.stats));
     }
   }
 }
@@ -475,7 +462,7 @@ TEST_F(SubplanParallelTest, HashJoinWithSubplansAndCacheOffMatchesSerial) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     RunOutcome parallel = run(threads);
     ExpectIdentical(parallel.rows, serial.rows);
-    ExpectSameStats(parallel.stats, serial.stats);
+    EXPECT_TRUE(testutil::StatsMatch(parallel.stats, serial.stats));
   }
 }
 
@@ -497,7 +484,7 @@ TEST_F(SubplanParallelTest, NestWithSubplanElemMatchesSerial) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     RunOutcome parallel = RunWithThreads(plan.get(), threads);
     ExpectIdentical(parallel.rows, serial.rows);
-    ExpectSameStats(parallel.stats, serial.stats);
+    EXPECT_TRUE(testutil::StatsMatch(parallel.stats, serial.stats));
   }
 }
 
@@ -542,7 +529,7 @@ TEST(SubplanParallelE2eTest, CorrelatedShapesAcrossThreadsAndCacheModes) {
           TMDB_ASSERT_OK_AND_ASSIGN(QueryResult parallel,
                                     db.Run(query, options));
           ExpectIdentical(parallel.rows, reference.rows);
-          ExpectSameStats(parallel.stats, reference.stats);
+          EXPECT_TRUE(testutil::StatsMatch(parallel.stats, reference.stats));
         }
       }
     }

@@ -218,20 +218,6 @@ void ExpectIdenticalRows(const std::vector<Value>& actual,
   }
 }
 
-/// The scheduling-independent work counters. The scheduler's own telemetry
-/// (morsels_dispatched / morsels_stolen) is deliberately absent: dispatched
-/// depends on the thread cap, stolen on timing.
-void ExpectSameWorkStats(const ExecStats& a, const ExecStats& b) {
-  EXPECT_EQ(a.rows_emitted, b.rows_emitted);
-  EXPECT_EQ(a.predicate_evals, b.predicate_evals);
-  EXPECT_EQ(a.subplan_evals, b.subplan_evals);
-  EXPECT_EQ(a.hash_probes, b.hash_probes);
-  EXPECT_EQ(a.rows_built, b.rows_built);
-  EXPECT_EQ(a.subplan_cache_hits, b.subplan_cache_hits);
-  EXPECT_EQ(a.subplan_cache_misses, b.subplan_cache_misses);
-  EXPECT_EQ(a.subplan_cache_evictions, b.subplan_cache_evictions);
-}
-
 // ----------------------------------------------------- no-churn regression
 
 TEST(ExecutorChurnTest, MixedThreadCountsOnAReusedExecutorCreateNoThreads) {
@@ -304,7 +290,7 @@ TEST(MultiQuerySoakTest, ConcurrentTaggedQueriesMatchSerialWithNoStatBleed) {
         auto result = db.Run(queries[qi], options);
         ASSERT_TRUE(result.ok()) << result.status().ToString();
         ExpectIdenticalRows(result->rows, serial[qi].rows);
-        ExpectSameWorkStats(result->stats, serial[qi].stats);
+        EXPECT_TRUE(testutil::StatsMatch(result->stats, serial[qi].stats));
         // The scheduler telemetry is per-query: stolen never exceeds
         // dispatched, and a parallel run dispatched at least one morsel.
         EXPECT_GT(result->stats.morsels_dispatched, 0u);
@@ -360,7 +346,7 @@ TEST(MultiQuerySoakTest, CancellingOneQueryLeavesNeighboursUntouched) {
       auto result = db.Run(light, options);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       ExpectIdenticalRows(result->rows, light_serial.rows);
-      ExpectSameWorkStats(result->stats, light_serial.stats);
+      EXPECT_TRUE(testutil::StatsMatch(result->stats, light_serial.stats));
     }
     victim_thread.join();
     cancelled_once = saw_cancel.load();
@@ -373,7 +359,7 @@ TEST(MultiQuerySoakTest, CancellingOneQueryLeavesNeighboursUntouched) {
   options.num_threads = 8;
   TMDB_ASSERT_OK_AND_ASSIGN(QueryResult after, db.Run(light, options));
   ExpectIdenticalRows(after.rows, light_serial.rows);
-  ExpectSameWorkStats(after.stats, light_serial.stats);
+  EXPECT_TRUE(testutil::StatsMatch(after.stats, light_serial.stats));
 }
 
 }  // namespace

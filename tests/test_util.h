@@ -92,32 +92,19 @@ inline ::testing::AssertionResult RowsEqual(std::vector<Value> actual,
          << "\nexpected = " << render(expected);
 }
 
-/// Equality of the deterministic work counters: every ExecStats field but
-/// guard_checkpoints (where checkpoints fall depends on the path and the
-/// batch size) and the strategy/scheduler telemetry.
+/// Equality of the work counters (StatKind::kWork in the counter table).
+/// Telemetry is exempt: where guard checkpoints fall depends on the path
+/// and the batch size, and the strategy and scheduler counters on the run.
 inline ::testing::AssertionResult StatsMatch(const ExecStats& a,
                                              const ExecStats& b) {
-#define TMDB_STAT_EQ(field)                                          \
-  if (a.field != b.field) {                                          \
-    return ::testing::AssertionFailure()                             \
-           << #field " differs: " << a.field << " vs " << b.field;   \
+  for (const StatCounter& counter : kStatCounters) {
+    if (counter.kind != StatKind::kWork) continue;
+    if (a.*counter.field != b.*counter.field) {
+      return ::testing::AssertionFailure()
+             << counter.name << " differs: " << a.*counter.field << " vs "
+             << b.*counter.field;
+    }
   }
-  TMDB_STAT_EQ(rows_emitted);
-  TMDB_STAT_EQ(predicate_evals);
-  TMDB_STAT_EQ(subplan_evals);
-  TMDB_STAT_EQ(hash_probes);
-  TMDB_STAT_EQ(rows_built);
-  TMDB_STAT_EQ(spill_partitions);
-  TMDB_STAT_EQ(spill_bytes_written);
-  TMDB_STAT_EQ(spill_bytes_read);
-  TMDB_STAT_EQ(spill_max_depth);
-  TMDB_STAT_EQ(spill_sort_runs);
-  TMDB_STAT_EQ(subplan_cache_hits);
-  TMDB_STAT_EQ(subplan_cache_misses);
-  TMDB_STAT_EQ(subplan_cache_evictions);
-  TMDB_STAT_EQ(subplan_cache_disk_evictions);
-  TMDB_STAT_EQ(subplan_cache_disk_faults);
-#undef TMDB_STAT_EQ
   return ::testing::AssertionSuccess();
 }
 
