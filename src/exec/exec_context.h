@@ -93,8 +93,8 @@ struct ExecContext {
   /// Work counters; never null during execution.
   ExecStats* stats = nullptr;
   /// This query's registration with the process-wide work-stealing
-  /// scheduler (intra-operator parallelism: partitioned hash builds,
-  /// morsel-wise probes). nullptr, or num_threads == 1, means fully serial
+  /// scheduler (intra-operator parallelism: morsel-wise key evaluation,
+  /// partitioned ν grouping, morsel-wise probes). nullptr, or num_threads == 1, means fully serial
   /// execution — the seed behaviour. Operators submit morsel sets only
   /// from the coordinating thread; worker tasks never dispatch themselves.
   QuerySched* sched = nullptr;

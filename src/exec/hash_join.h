@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "exec/arena.h"
 #include "exec/columnar.h"
 #include "exec/join_common.h"
 #include "exec/physical_op.h"
@@ -25,13 +24,21 @@ namespace tmdb {
 /// grouped by left tuples, so with a non-key join attribute only the right
 /// operand may be the build table.
 ///
-/// With ExecContext::parallel_enabled(), the build side is hash-partitioned
-/// into `num_threads` disjoint partitions whose tables are built
-/// concurrently, and — when the residual predicate and nest-join G function
-/// are subplan-free — the probe side is materialised and probed in parallel
-/// morsels. Both paths are bit-identical to serial execution: partitioning
-/// preserves per-key insertion order, morsel outputs are concatenated in
-/// probe order, and worker-local stats are summed deterministically.
+/// Every path — serial, morsel-parallel, raw-key and Grace spill — builds
+/// the same table (BuildTable) and reads it through the same probe
+/// (ProcessLeftRow, feeding JoinMatcher::Match). The table keeps the build
+/// rows in input order with one key per row, linked into power-of-two
+/// hash chains in ascending row order, so a probe sees its matches in
+/// build-input order. The key is raw (i64 / f64 / string dictionary code)
+/// when a FastKeySpec resolves and the run has no memory budget, and the
+/// composite key Value otherwise.
+///
+/// With ExecContext::parallel_enabled(), the composite build keys and
+/// their hashes are evaluated in morsels, and the probe side is
+/// materialised and probed in parallel morsels. Both are bit-identical to
+/// serial execution: the chains are linked serially, morsel outputs are
+/// concatenated in probe order, and worker-local stats merge
+/// deterministically.
 ///
 /// When ExecContext::spill is set and the memory budget trips while the
 /// build side materialises, the operator degrades to Grace-style
@@ -48,13 +55,12 @@ class HashJoinOp final : public PhysicalOp {
   /// `left_keys[i] = right_keys[i]` are the extracted equi-conjuncts;
   /// `spec.pred` holds only the residual predicate (True if none).
   ///
-  /// `fast_keys` (from ResolveFastKeys) enables the raw-key fast path: the
-  /// build keys are extracted into flat arena-backed arrays and chained
-  /// into a power-of-two hash table, and each probe hashes its raw key
-  /// instead of materialising a composite key Value. The fast path verifies
-  /// the build keys' runtime kinds (strict Int / strict non-NaN Real /
-  /// strict String per the spec) and silently falls back to the row build
-  /// when any key deviates, so results and stats stay bit-identical.
+  /// `fast_keys` (from ResolveFastKeys) enables raw keys: each build key is
+  /// read straight from its field, and each probe hashes its raw key
+  /// instead of materialising a composite key Value. The build verifies
+  /// the keys' runtime kinds (strict Int / strict non-NaN Real / strict
+  /// String per the spec) and switches the table to composite keys when
+  /// any key deviates, so results and stats stay bit-identical.
   HashJoinOp(PhysicalOpPtr left, PhysicalOpPtr right, JoinSpec spec,
              std::vector<Expr> left_keys, std::vector<Expr> right_keys,
              std::optional<FastKeySpec> fast_keys = std::nullopt)
@@ -75,40 +81,57 @@ class HashJoinOp final : public PhysicalOp {
   }
 
  private:
-  using BuildMap =
-      std::unordered_map<Value, std::vector<Value>, ValueHash, ValueEq>;
+  /// Chain sentinel for Table::heads / Table::next.
+  static constexpr uint32_t kNil = 0xffffffffu;
 
-  /// Bucket for `key` in the owning partition, or nullptr.
-  const std::vector<Value>* FindBucket(const Value& key) const;
+  /// The build table. Row i's key is raw[i] (kI64: the int64 bits, kF64:
+  /// the double bits, kStr: a `dict` code) or keys[i] (kValue).
+  struct Table {
+    /// The raw kinds mirror FastKeySpec::Kind (BuildTable casts).
+    enum class Kind : uint8_t { kI64, kF64, kStr, kValue };
+    Kind kind = Kind::kValue;
+    std::vector<Value> rows;
+    std::vector<uint64_t> raw;
+    std::vector<Value> keys;
+    StringDict dict;
+    std::vector<uint32_t> heads;
+    std::vector<uint32_t> next;
+    uint64_t mask = 0;
+    GuardReservation res;  // key, head and next arrays
 
-  Status BuildTables(ExecContext* ctx);
-  /// In-memory build from fully drained rows (serial two-pass or
-  /// morsel-parallel). A memory trip during key evaluation leaves `rows`
-  /// intact so the caller can divert to the spill path.
-  Status BuildInMemory(ExecContext* ctx, std::vector<Value>* rows);
+    /// Hash of row i's key.
+    uint64_t RowHash(size_t i) const;
+    /// Sizes the chains for `n` rows, charging them to `res`.
+    Status Reserve(size_t n);
+    /// Links row i, whose key is stored, at the head of its chain. A
+    /// composite key equal to an earlier row's comes to share its rep, so
+    /// the table holds one key Value per distinct key, not per row.
+    void Link(uint32_t i);
+    /// Reverses every chain into ascending row order, the order in which a
+    /// probe must meet its matches.
+    void Finish();
+    /// Empties the table and refunds its charge.
+    void Clear();
+  };
+  /// Match iterator over one hash chain (defined in the .cc).
+  struct ChainIter;
+
+  /// Materialises the build side and builds table_, diverting to the
+  /// spill path when the budget trips.
+  Status DrainAndBuild(ExecContext* ctx);
+  /// Builds table_ from `rows`, moving them in only on success: a memory
+  /// trip leaves `rows` intact so the caller can divert to the spill path.
+  /// (A Grace partition fills table_ record by record instead, with the
+  /// same Reserve / Link / Finish.)
+  Status BuildTable(ExecContext* ctx, std::vector<Value>* rows);
   /// Materialises the left input and probes it with parallel morsels,
   /// loading the whole output into serve_.
   Status ParallelProbe();
-  /// Appends the join output rows of one left row to `out` (all modes);
-  /// dispatches to the fast probe when the fast table is active.
-  Status ProcessLeftRow(const Value& left_row, ExecContext* ctx,
-                        std::vector<Value>* out) const;
-
-  // --- Raw-key fast path ---
-
-  /// Chain sentinel for heads_/next_.
-  static constexpr uint32_t kNil = 0xffffffffu;
-
-  /// Builds the flat chained table from the drained build rows. Returns
-  /// false (with `rows` intact, arena reset by the caller) when a build key
-  /// deviates from the spec's kind contract; errors propagate (a memory
-  /// trip here is spill-eligible, also with `rows` intact).
-  Result<bool> BuildFast(ExecContext* ctx, std::vector<Value>* rows);
-  /// Fast-path analogue of ProcessLeftRow.
-  Status ProcessLeftRowFast(const Value& left_row, ExecContext* ctx,
-                            std::vector<Value>* out) const;
-  /// Match iterator over one fast-table hash chain (defined in the .cc).
-  struct FastIter;
+  /// Appends the join output rows of one left row to `out` (all modes).
+  /// `left_key` is the row's composite key when the caller already has it
+  /// (a Grace partition); null means evaluate it here.
+  Status ProcessLeftRow(const Value& left_row, const Value* left_key,
+                        ExecContext* ctx, std::vector<Value>* out) const;
 
   // --- Grace spill path (hash_join_spill.cc) ---
 
@@ -116,6 +139,7 @@ class HashJoinOp final : public PhysicalOp {
   struct SpillPart {
     std::string build_path;
     std::string probe_path;
+    uint64_t build_records = 0;
   };
 
   /// True when `s` is a memory-budget trip that spilling can relieve.
@@ -125,9 +149,9 @@ class HashJoinOp final : public PhysicalOp {
   /// a time into serve_. `right_open` says the build input still has rows.
   Status SpillBuildAndProbe(ExecContext* ctx, std::vector<Value> build_rows,
                             bool right_open);
-  /// Loads one partition's build file and probes its probe file, appending
-  /// (left-row tag, output row) pairs. Recurses via Repartition when the
-  /// partition alone exceeds the budget.
+  /// Loads one partition's build file into table_ and probes its probe
+  /// file, appending (left-row tag, output row) pairs. Recurses via
+  /// Repartition when the partition alone exceeds the budget.
   Status ProcessSpillPartition(ExecContext* ctx, const SpillPart& part,
                                int depth,
                                std::vector<std::pair<uint64_t, Value>>* out);
@@ -143,11 +167,10 @@ class HashJoinOp final : public PhysicalOp {
   std::vector<Expr> left_keys_;
   std::vector<Expr> right_keys_;
   JoinMatcher matcher_;
+  std::optional<FastKeySpec> fast_spec_;
   ExecContext* ctx_ = nullptr;
 
-  // Build side: disjoint hash partitions (one in serial execution). A key's
-  // partition is Hash() % partitions_.size().
-  std::vector<BuildMap> partitions_;
+  Table table_;
 
   // Probe side, one left row at a time, and the output handed out by
   // NextBatch. The morsel and spill paths materialise the whole output
@@ -162,23 +185,11 @@ class HashJoinOp final : public PhysicalOp {
   // Bytes charged to the guard for build/probe materialisation.
   GuardReservation build_res_;
 
-  // --- Raw-key fast path state (live while fast_active_) ---
-  std::optional<FastKeySpec> fast_spec_;
-  bool fast_active_ = false;
-  std::vector<Value> build_rows_;  // build rows in input order
-  Arena arena_;                    // key arrays + heads/next chains
-  const int64_t* fk_i64_ = nullptr;
-  const double* fk_f64_ = nullptr;
-  const uint32_t* fk_codes_ = nullptr;
-  uint32_t* heads_ = nullptr;
-  uint32_t* next_ = nullptr;
-  uint64_t bucket_mask_ = 0;
-  StringDict fast_dict_;  // build-key strings; probe via Lookup (read-only)
-
   // Nest-join group memo: first-matching-build-row id → (group set, match
-  // count). Only enabled serial + literal-true pred + identity G + no
-  // memory budget, so it cannot race or shift budget behaviour; hits add
-  // the recorded match count to predicate_evals, mirroring re-evaluation.
+  // count). Only enabled with raw keys (hence no memory budget), serial,
+  // literal-true pred and identity G, so it cannot race or shift budget
+  // behaviour; hits add the recorded match count to predicate_evals,
+  // mirroring re-evaluation.
   bool memo_enabled_ = false;
   mutable std::unordered_map<uint32_t, std::pair<Value, uint64_t>> memo_;
 };

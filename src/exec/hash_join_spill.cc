@@ -1,5 +1,5 @@
 // Grace-style spill path of HashJoinOp (all join modes, nest join
-// included). Engaged by Open/BuildTables when a memory-budget trip is
+// included). Engaged by Open/DrainAndBuild when a memory-budget trip is
 // spill-eligible; see the class comment in hash_join.h for the invariants
 // (co-partitioning of equal keys, tag-restored output order, guard refund).
 
@@ -91,6 +91,7 @@ Status HashJoinOp::SpillBuildAndProbe(ExecContext* ctx,
     for (size_t p = 0; p < kSpillFanout; ++p) {
       TMDB_RETURN_IF_ERROR(writers[p]->Finish());
       ctx->stats->spill_bytes_written += writers[p]->stats().bytes;
+      parts[p].build_records = writers[p]->stats().records;
     }
     ctx->stats->spill_partitions += kSpillFanout;
 
@@ -165,16 +166,16 @@ Status HashJoinOp::ProcessSpillPartition(
       std::max<uint64_t>(ctx->stats->spill_max_depth,
                          static_cast<uint64_t>(depth) + 1);
 
-  // Load this partition's build half into an in-memory table. The memory
+  // Load this partition's build half into table_, linking each record as
+  // it is decoded so equal keys share one rep from the start. The memory
   // check is live again here: a trip means this partition alone exceeds the
   // budget, and we recurse instead of failing (up to the depth bound).
-  BuildMap table;
-  GuardReservation slots;
-  slots.Reset(ctx->guard);
+  Table& t = table_;
+  t.res.Reset(ctx->guard);
   SpillReader build_reader(part.build_path, inj);
   Status load = [&]() -> Status {
+    TMDB_RETURN_IF_ERROR(t.Reserve(part.build_records));
     TMDB_RETURN_IF_ERROR(build_reader.Open());
-    size_t i = 0;
     while (true) {
       std::string_view rec;
       bool eof = false;
@@ -183,22 +184,24 @@ Status HashJoinOp::ProcessSpillPartition(
       if (build_reader.TookBlockBoundary()) {
         TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
       }
-      TMDB_RETURN_IF_ERROR(PeriodicSpillGuardCheck(ctx, i++));
+      const size_t i = t.rows.size();
+      TMDB_RETURN_IF_ERROR(PeriodicSpillGuardCheck(ctx, i));
+      if (i == part.build_records) {
+        return Status::Internal("spill partition outgrew its record count");
+      }
       size_t pos = 0;
-      Value key;
-      Value row;
-      TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &key));
-      TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &row));
-      TMDB_RETURN_IF_ERROR(slots.Add(sizeof(Value)));
-      table[std::move(key)].push_back(std::move(row));
+      TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &t.keys.emplace_back()));
+      TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &t.rows.emplace_back()));
+      TMDB_RETURN_IF_ERROR(t.res.Add(2 * sizeof(Value)));
+      t.Link(static_cast<uint32_t>(i));
     }
+    t.Finish();
     return Status::OK();
   }();
   ctx->stats->spill_bytes_read += build_reader.stats().bytes;
   build_reader.Close();
   if (!load.ok()) {
-    table.clear();
-    slots.Release();
+    t.Clear();
     const bool memory_trip =
         load.code() == StatusCode::kResourceExhausted &&
         ctx->guard != nullptr && ctx->guard->last_trip_was_memory();
@@ -236,13 +239,8 @@ Status HashJoinOp::ProcessSpillPartition(
       TMDB_RETURN_IF_ERROR(GetVarint(rec, &pos, &tag));
       TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &key));
       TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &left_row));
-      ctx->stats->hash_probes++;
-      auto it = table.find(key);
-      const std::vector<Value>* bucket =
-          it == table.end() ? nullptr : &it->second;
       row_out.clear();
-      TMDB_RETURN_IF_ERROR(
-          matcher_.Match(left_row, RowVecIter{bucket}, ctx, &row_out));
+      TMDB_RETURN_IF_ERROR(ProcessLeftRow(left_row, &key, ctx, &row_out));
       if (!row_out.empty()) {
         TMDB_RETURN_IF_ERROR(build_res_.Add(
             row_out.size() * sizeof(std::pair<uint64_t, Value>)));
@@ -253,8 +251,7 @@ Status HashJoinOp::ProcessSpillPartition(
   }();
   ctx->stats->spill_bytes_read += probe_reader.stats().bytes;
   probe_reader.Close();
-  slots.Release();
-  table.clear();
+  t.Clear();
   if (!probe.ok()) {
     // A memory trip *during the probe* means table + accumulated output no
     // longer fit together. Recursing still helps — it shrinks the table's
@@ -341,6 +338,7 @@ Status HashJoinOp::RepartitionAndRecurse(
       for (size_t p = 0; p < kSpillFanout; ++p) {
         TMDB_RETURN_IF_ERROR(writers[p]->Finish());
         ctx->stats->spill_bytes_written += writers[p]->stats().bytes;
+        if (is_build) subparts[p].build_records = writers[p]->stats().records;
       }
       if (is_build) ctx->stats->spill_partitions += kSpillFanout;
       mgr->RemoveFile(src);

@@ -69,20 +69,19 @@ Result<bool> EvalJoinPred(const JoinSpec& spec, const Value& left_row,
 Result<Value> EvalJoinFunc(const JoinSpec& spec, const Value& left_row,
                            const Value& right_row, ExecContext* ctx);
 
-/// Match iterator over a row vector: a hash bucket, a merge join's
-/// equal-key run, the nested-loop join's whole right input. A null `rows`
-/// is an empty match set (a probe key with no bucket).
+/// Match iterator over a row vector: a merge join's equal-key run, the
+/// nested-loop join's whole right input.
 struct RowVecIter {
   const std::vector<Value>* rows;
   size_t i = 0;
 
-  bool done() const { return rows == nullptr || i >= rows->size(); }
+  bool done() const { return i >= rows->size(); }
   const Value& row() const { return (*rows)[i]; }
   void advance() { ++i; }
 };
 
 /// The per-mode match rules, written once for every join implementation
-/// and every execution path (serial, morsel, fast-key, Grace spill). Match
+/// and every execution path (serial, morsel, raw-key, Grace spill). Match
 /// takes one left row and an iterator over its candidate right rows and
 /// appends that left row's complete output:
 ///
@@ -94,7 +93,7 @@ struct RowVecIter {
 ///                        G-images of its matches (∅ when dangling)
 ///
 /// Iterators expose done() / row() / advance() (RowVecIter, or the hash
-/// join's fast-table chain walk).
+/// join's chain walk).
 class JoinMatcher {
  public:
   /// Decides the shortcuts for `spec`, which must outlive the matcher. A

@@ -1,6 +1,5 @@
 #include "net/server.h"
 
-#include <cctype>
 #include <chrono>
 #include <optional>
 #include <utility>
@@ -8,6 +7,7 @@
 #include "base/string_util.h"
 #include "exec/executor.h"
 #include "net/wire.h"
+#include "parser/lexer.h"
 #include "spill/value_codec.h"
 #include "translate/strategies.h"
 
@@ -15,23 +15,17 @@ namespace tmdb {
 
 namespace {
 
-/// Statements whose leading keyword mutates the catalog or a table take
-/// the server's exclusive lock; everything else (queries, EXPLAIN) shares
-/// it. Classified textually so the lock is held for parse + execution.
+/// Statements whose first token mutates the catalog or a table take the
+/// server's exclusive lock; everything else (queries, EXPLAIN) shares it.
+/// Classified by the lexer, so comments and whitespace ahead of the keyword
+/// do not hide a write; text that does not lex is left to the parser's
+/// error under the shared lock.
 bool IsWriteStatement(const std::string& text) {
-  size_t i = 0;
-  while (i < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[i]))) {
-    ++i;
-  }
-  std::string keyword;
-  while (i < text.size() &&
-         std::isalpha(static_cast<unsigned char>(text[i]))) {
-    keyword.push_back(static_cast<char>(
-        std::toupper(static_cast<unsigned char>(text[i]))));
-    ++i;
-  }
-  return keyword == "CREATE" || keyword == "DEFINE" || keyword == "INSERT";
+  Result<std::vector<Token>> tokens = Tokenize(text);
+  if (!tokens.ok()) return false;
+  const TokenKind first = tokens->front().kind;
+  return first == TokenKind::kCreate || first == TokenKind::kDefine ||
+         first == TokenKind::kInsert;
 }
 
 /// RAII admission-slot release: every exit path of a handled query —
@@ -250,17 +244,26 @@ class QueryServer::Session {
       done.store(true, std::memory_order_release);
     });
 
+    // A cancel is re-asserted every tick until the query returns: the exec
+    // thread's guard Reset clears one that lands before the run arms the
+    // guard (a CANCEL frame or a disconnect read right after admission).
+    bool cancel = false;
     bool disconnected = false;
-    while (!done.load(std::memory_order_acquire) && !disconnected) {
-      if (stop_requested_.load(std::memory_order_relaxed)) {
+    while (!done.load(std::memory_order_acquire)) {
+      if (cancel || stop_requested_.load(std::memory_order_relaxed)) {
         executor_.guard()->Cancel();
+      }
+      if (disconnected) {
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(server_->options_.poll_interval_ms));
+        continue;
       }
       switch (sock_.Poll(server_->options_.poll_interval_ms)) {
         case Socket::PollState::kTimeout:
           break;
         case Socket::PollState::kClosed:
           disconnected = true;
-          executor_.guard()->Cancel();
+          cancel = true;
           break;
         case Socket::PollState::kReadable: {
           Frame in;
@@ -271,21 +274,22 @@ class QueryServer::Session {
               server_->wire_errors_.fetch_add(1, std::memory_order_relaxed);
             }
             disconnected = true;
-            executor_.guard()->Cancel();
           } else if (in.type == FrameType::kCancel) {
             server_->cancel_frames_.fetch_add(1, std::memory_order_relaxed);
-            executor_.guard()->Cancel();
           } else {
             // Pipelining is not part of the protocol; a second request
             // mid-query is a protocol violation. Cancel and drop.
             disconnected = true;
-            executor_.guard()->Cancel();
           }
+          cancel = true;
           break;
         }
       }
     }
     exec_thread.join();
+    // A cancel re-asserted after the run finished must not reach the next
+    // query on this connection.
+    if (cancel) executor_.guard()->ClearTripState();
 
     const Result<StatementResult>& result = *outcome;
     if (disconnected) {

@@ -611,8 +611,9 @@ TEST_F(ColumnarJoinTest, StringAndRealKeysAndCrossKindProbes) {
 }
 
 TEST_F(ColumnarJoinTest, BuildSideKindDeviationFallsBack) {
-  // A REAL-typed build key that holds an Int value at runtime: the fast
-  // build must abort and the row path take over — same rows either way.
+  // A REAL-typed build key that holds an Int value at runtime: the build
+  // must switch the table to composite keys — same rows and stats as a
+  // join that never had raw keys, serial and with morsel-parallel keys.
   TMDB_ASSERT_OK_AND_ASSIGN(
       auto r, Table::Create("RD", Type::Tuple({{"j", Type::Real()},
                                                {"w", Type::Int()}})));
@@ -635,25 +636,28 @@ TEST_F(ColumnarJoinTest, BuildSideKindDeviationFallsBack) {
   spec.right_type = r->schema();
   spec.pred = Expr::True();
 
-  JoinSpec s1 = spec;
-  HashJoinOp row_join(PhysicalOpPtr(new TableScanOp(left_)),
-                      PhysicalOpPtr(new TableScanOp(r)), std::move(s1), lk,
-                      rk, std::nullopt);
-  JoinSpec s2 = spec;
-  HashJoinOp fast_join(PhysicalOpPtr(new TableScanOp(left_)),
-                       PhysicalOpPtr(new TableScanOp(r)), std::move(s2), lk,
-                       rk, std::move(fk));
-  Executor reference(1);
-  TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> expected,
-                            reference.RunPhysical(&row_join));
-  Executor executor(1);
-  TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> actual,
-                            executor.RunPhysical(&fast_join));
-  EXPECT_TRUE(BitIdentical(actual, expected));
-  EXPECT_TRUE(StatsMatch(executor.stats(), reference.stats()));
-  // Both Real(1.0) and the deviating Int(2) build rows join their 7 left
-  // partners each (k = i % 60 over 400 rows → 7 hits per key in [0, 40)).
-  EXPECT_EQ(actual.size(), 14u);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    JoinSpec s1 = spec;
+    HashJoinOp row_join(PhysicalOpPtr(new TableScanOp(left_)),
+                        PhysicalOpPtr(new TableScanOp(r)), std::move(s1), lk,
+                        rk, std::nullopt);
+    JoinSpec s2 = spec;
+    HashJoinOp fast_join(PhysicalOpPtr(new TableScanOp(left_)),
+                         PhysicalOpPtr(new TableScanOp(r)), std::move(s2), lk,
+                         rk, fk);
+    Executor reference(threads);
+    TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> expected,
+                              reference.RunPhysical(&row_join));
+    Executor executor(threads);
+    TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> actual,
+                              executor.RunPhysical(&fast_join));
+    EXPECT_TRUE(BitIdentical(actual, expected));
+    EXPECT_TRUE(StatsMatch(executor.stats(), reference.stats()));
+    // Both Real(1.0) and the deviating Int(2) build rows join their 7 left
+    // partners each (k = i % 60 over 400 rows → 7 hits per key in [0, 40)).
+    EXPECT_EQ(actual.size(), 14u);
+  }
 }
 
 TEST(ResolveFastKeysTest, KindRules) {

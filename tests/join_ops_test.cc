@@ -1,5 +1,5 @@
-// Cross-checks every join implementation (nested-loop, hash with and
-// without the raw-key fast table, sort-merge) against each other in every
+// Cross-checks every join implementation (nested-loop, hash with raw keys,
+// one composite key or two, sort-merge) against each other in every
 // mode (inner, semi, anti, left-outer, nest join), on the paper's Table 1
 // instance and on random data, and drains each one at several batch sizes.
 
@@ -22,7 +22,7 @@ using testutil::IntRow;
 using testutil::RowsEqual;
 using testutil::StatsMatch;
 
-enum class Impl { kNestedLoop, kHash, kHashFastKey, kMerge };
+enum class Impl { kNestedLoop, kHash, kHashFastKey, kHashTwoKey, kMerge };
 
 std::string ImplName(Impl impl) {
   switch (impl) {
@@ -32,6 +32,8 @@ std::string ImplName(Impl impl) {
       return "Hash";
     case Impl::kHashFastKey:
       return "HashFastKey";
+    case Impl::kHashTwoKey:
+      return "HashTwoKey";
     case Impl::kMerge:
       return "Merge";
   }
@@ -106,6 +108,14 @@ class JoinOpsTest : public ::testing::TestWithParam<JoinCase> {
         return PhysicalOpPtr(new HashJoinOp(std::move(l), std::move(r),
                                             std::move(spec), {xd}, {yb},
                                             std::move(fast)));
+      }
+      case Impl::kHashTwoKey: {
+        // A composite key of two components: (x.d, x.d) = (y.b, y.b) holds
+        // exactly when x.d = y.b.
+        spec.pred = Expr::True();
+        return PhysicalOpPtr(new HashJoinOp(std::move(l), std::move(r),
+                                            std::move(spec), {xd, xd},
+                                            {yb, yb}));
       }
       case Impl::kMerge: {
         spec.pred = Expr::True();
@@ -286,6 +296,11 @@ INSTANTIATE_TEST_SUITE_P(
         JoinCase{Impl::kHashFastKey, JoinMode::kAnti},
         JoinCase{Impl::kHashFastKey, JoinMode::kLeftOuter},
         JoinCase{Impl::kHashFastKey, JoinMode::kNestJoin},
+        JoinCase{Impl::kHashTwoKey, JoinMode::kInner},
+        JoinCase{Impl::kHashTwoKey, JoinMode::kSemi},
+        JoinCase{Impl::kHashTwoKey, JoinMode::kAnti},
+        JoinCase{Impl::kHashTwoKey, JoinMode::kLeftOuter},
+        JoinCase{Impl::kHashTwoKey, JoinMode::kNestJoin},
         JoinCase{Impl::kMerge, JoinMode::kInner},
         JoinCase{Impl::kMerge, JoinMode::kSemi},
         JoinCase{Impl::kMerge, JoinMode::kAnti},

@@ -33,6 +33,13 @@ const char kNestedQuery[] =
     "SELECT x FROM R x WHERE x.b = count(SELECT y.d FROM S y "
     "WHERE x.c = y.c)";
 const char kScanQuery[] = "SELECT x FROM R x WHERE x.b >= 0";
+// Four correlated levels under the naive strategy: minutes of work on the
+// fixture's tables, so it only ends by cancellation or its timeout.
+const char kLongQuery[] =
+    "SELECT x FROM R x WHERE count(SELECT y FROM S y WHERE "
+    "count(SELECT z FROM S z WHERE count(SELECT w FROM S w WHERE "
+    "count(SELECT v FROM S v WHERE v.d + w.d + z.d + y.d > x.b) > 0) > 0) "
+    "> 0) > 0";
 
 uint64_t TestSeed() {
   if (const char* env = std::getenv("TMDB_NET_SEED")) {
@@ -98,6 +105,47 @@ class NetServiceTest : public ::testing::Test {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     return true;
+  }
+
+  /// Sends `query` (naive strategy) as request `id` on a raw socket.
+  static void SendQuery(Socket* sock, uint64_t id, const char* query,
+                        uint64_t timeout_ms) {
+    WireRequest request;
+    request.query = query;
+    request.strategy = "naive";
+    request.timeout_ms = timeout_ms;
+    request.queue_wait_ms = 60000;
+    Frame frame;
+    frame.type = FrameType::kQuery;
+    frame.request_id = id;
+    EncodeRequest(request, &frame.payload);
+    ASSERT_TRUE(WriteFrame(sock, nullptr, frame).ok());
+  }
+
+  static void SendCancel(Socket* sock, uint64_t id) {
+    Frame cancel;
+    cancel.type = FrameType::kCancel;
+    cancel.request_id = id;
+    ASSERT_TRUE(WriteFrame(sock, nullptr, cancel).ok());
+  }
+
+  /// Reads frames up to the request's terminator: the kError code, or kOk
+  /// for kDone.
+  static StatusCode ReadOutcome(Socket* sock) {
+    for (;;) {
+      Frame in;
+      bool eof = false;
+      if (!ReadFrame(sock, nullptr, &in, &eof).ok() || eof) {
+        ADD_FAILURE() << "connection ended before the terminator";
+        return StatusCode::kInternal;
+      }
+      if (in.type == FrameType::kDone) return StatusCode::kOk;
+      if (in.type == FrameType::kError) {
+        WireError error;
+        EXPECT_TRUE(DecodeError(in.payload, &error).ok());
+        return error.code;
+      }
+    }
   }
 
   Database db_;
@@ -277,7 +325,9 @@ TEST_F(NetServiceTest, VanishedClientCancelsItsQueryAndFreesTheSlot) {
 }
 
 TEST_F(NetServiceTest, CancelFrameStopsTheQueryWithCancelled) {
-  StartServer(ServerOptions());
+  ServerOptions options;
+  options.admission.max_concurrent = 1;
+  StartServer(std::move(options));
 
   Result<Socket> sock = Socket::ConnectTcp("127.0.0.1", server_->port());
   ASSERT_TRUE(sock.ok());
@@ -327,6 +377,60 @@ TEST_F(NetServiceTest, CancelFrameStopsTheQueryWithCancelled) {
   // Either way the cancel frame is eventually consumed and counted —
   // mid-query (cancelling the run) or idle (a no-op between queries).
   EXPECT_TRUE(WaitFor([&] { return server_->stats().cancel_frames == 1; }));
+
+  // A cancel sent while the query still waits in admission is read as soon
+  // as the query is admitted — before its run arms the guard. It must
+  // still stop the query rather than be cleared by the run's guard reset.
+  Result<Socket> holder = Socket::ConnectTcp("127.0.0.1", server_->port());
+  ASSERT_TRUE(holder.ok());
+  SendQuery(&*holder, 1, kLongQuery, 60000);
+  ASSERT_TRUE(ReadFrame(&*holder, nullptr, &in, &eof).ok());
+  ASSERT_EQ(in.type, FrameType::kAccepted);
+
+  Result<Socket> queued = Socket::ConnectTcp("127.0.0.1", server_->port());
+  ASSERT_TRUE(queued.ok());
+  // The timeout bounds the run if the cancel is lost.
+  SendQuery(&*queued, 2, kLongQuery, 5000);
+  ASSERT_TRUE(WaitFor([&] { return server_->admission()->queued() == 1; }));
+  SendCancel(&*queued, 2);
+
+  // Free the slot by cancelling the running query.
+  SendCancel(&*holder, 1);
+  EXPECT_EQ(ReadOutcome(&*holder), StatusCode::kCancelled);
+  ASSERT_TRUE(ReadFrame(&*queued, nullptr, &in, &eof).ok());
+  ASSERT_EQ(in.type, FrameType::kAccepted);
+  EXPECT_EQ(ReadOutcome(&*queued), StatusCode::kCancelled);
+}
+
+TEST_F(NetServiceTest, CommentedWriteWaitsForTheExclusiveLock) {
+  StartServer(ServerOptions());
+
+  // A long read holds the shared lock...
+  Result<Socket> reader = Socket::ConnectTcp("127.0.0.1", server_->port());
+  ASSERT_TRUE(reader.ok());
+  SendQuery(&*reader, 1, kLongQuery, 60000);
+  Frame in;
+  bool eof = false;
+  ASSERT_TRUE(ReadFrame(&*reader, nullptr, &in, &eof).ok());
+  ASSERT_EQ(in.type, FrameType::kAccepted);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  // ...so an INSERT behind a comment, a write all the same, must wait.
+  std::atomic<bool> written{false};
+  std::thread writer([&] {
+    QueryClient client = MakeClient();
+    Result<ClientResult> inserted =
+        client.Run("-- note\nINSERT INTO S VALUES (c = 1, d = 2)");
+    EXPECT_TRUE(inserted.ok()) << inserted.status().ToString();
+    written.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_FALSE(written.load()) << "the write ran beside a read";
+
+  SendCancel(&*reader, 1);
+  EXPECT_EQ(ReadOutcome(&*reader), StatusCode::kCancelled);
+  writer.join();
+  EXPECT_TRUE(written.load());
 }
 
 TEST_F(NetServiceTest, ClientSideWireFaultSweepPoisonsOnlyTheConnection) {
