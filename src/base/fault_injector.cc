@@ -1,16 +1,10 @@
 #include "base/fault_injector.h"
 
+#include "base/hash.h"
+
 namespace tmdb {
 
 namespace {
-
-// SplitMix64 finaliser: a cheap, well-distributed 64-bit mixer.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 constexpr double kTwoPow53 = 9007199254740992.0;  // 2^53
 

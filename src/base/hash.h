@@ -25,6 +25,16 @@ inline uint64_t HashString(std::string_view s, uint64_t seed = 0) {
   return HashBytes(s.data(), s.size(), 0xcbf29ce484222325ULL ^ seed);
 }
 
+/// SplitMix64 finaliser: a cheap, well-distributed 64-bit mixer. The raw
+/// join-key hash, the spill partition choice and the fault injector's rate
+/// schedule all run through it.
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
 /// Order-dependent combination of two hashes (boost-style mix).
 inline uint64_t HashCombine(uint64_t a, uint64_t b) {
   return a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 12) + (a >> 4));

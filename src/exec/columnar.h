@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "base/hash.h"
 #include "base/result.h"
 #include "exec/arena.h"
 #include "expr/expr.h"
@@ -134,14 +135,6 @@ std::optional<FastKeySpec> ResolveFastKeys(const std::vector<Expr>& left_keys,
                                            const std::vector<Expr>& right_keys,
                                            const std::string& left_var,
                                            const std::string& right_var);
-
-/// SplitMix64 finaliser — the raw-key hash for the fast join tables.
-inline uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 inline uint64_t HashI64Key(int64_t v) {
   return Mix64(static_cast<uint64_t>(v));

@@ -83,6 +83,12 @@ inline constexpr StatCounter kStatCounters[] = {
 #undef TMDB_STAT_ENTRY
 };
 
+/// Default batch size used by the executor when draining a plan, and the
+/// period of the row-granularity guard checkpoints (PeriodicCheckGuard).
+inline constexpr size_t kExecBatchSize = 1024;
+static_assert((kExecBatchSize & (kExecBatchSize - 1)) == 0,
+              "periodic guard checks mask against kExecBatchSize");
+
 /// Per-execution state threaded through the physical operators.
 struct ExecContext {
   /// Environment of the enclosing evaluation: non-null while running a

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 #include <utility>
 
 #include "base/string_util.h"
@@ -9,16 +10,6 @@
 #include "values/value_ops.h"
 
 namespace tmdb {
-
-namespace {
-
-/// Guard check once per kExecBatchSize loop iterations (`i` counts up).
-inline Status PeriodicGuardCheck(const ExecContext* ctx, size_t i) {
-  if ((i & (kExecBatchSize - 1)) == 0) return CheckGuard(ctx);
-  return Status::OK();
-}
-
-}  // namespace
 
 void HashJoinOp::Table::Clear() {
   res.Release();
@@ -30,8 +21,7 @@ Status HashJoinOp::Open(ExecContext* ctx) {
   table_.Clear();
   left_in_.Reset();
   serve_.Clear();
-  materialized_ = false;
-  spilled_ = false;
+  probe_done_ = false;
   build_res_.Reset(ctx->guard);
   memo_.clear();
   memo_enabled_ = false;
@@ -45,33 +35,9 @@ Status HashJoinOp::Open(ExecContext* ctx) {
                   spec_.mode == JoinMode::kNestJoin &&
                   matcher_.pred_is_true() && matcher_.func_is_right_ident() &&
                   !ctx->parallel_enabled();
-  if (spilled_) {
-    // The spill path consumed both inputs and filled serve_ already.
-    return Status::OK();
-  }
-  TMDB_RETURN_IF_ERROR(left_->Open(ctx));
-
-  // Morsel-parallel probe: subplan-bearing probe expressions are handled
-  // too — each worker gets its own forked subplan evaluator, all sharing
-  // the run's memo cache.
-  if (ctx->parallel_enabled()) {
-    const uint64_t held_before = build_res_.held();
-    Status probed = ParallelProbe();
-    if (probed.ok()) {
-      materialized_ = true;
-    } else if (SpillEligible(ctx, probed)) {
-      // The build table fits but materialising the probe side blew the
-      // budget. Fall back to the serial probe, which holds one probe
-      // batch at a time: refund the probe scratch (its values freed on
-      // unwind) and restart the left input.
-      build_res_.Shrink(build_res_.held() - held_before);
-      left_->Close();
-      TMDB_RETURN_IF_ERROR(left_->Open(ctx));
-    } else {
-      return probed;
-    }
-  }
-  return Status::OK();
+  // The spill path consumed both inputs and filled serve_ already.
+  if (probe_done_) return Status::OK();
+  return left_->Open(ctx);
 }
 
 Status HashJoinOp::DrainAndBuild(ExecContext* ctx) {
@@ -95,7 +61,7 @@ Status HashJoinOp::DrainAndBuild(ExecContext* ctx) {
     }
   }
   if (!drained.ok()) {
-    if (!SpillEligible(ctx, drained)) {
+    if (!SpillEligibleTrip(ctx, drained)) {
       right_->Close();
       return drained;
     }
@@ -107,7 +73,7 @@ Status HashJoinOp::DrainAndBuild(ExecContext* ctx) {
   Status built = BuildTable(ctx, &rows);
   if (!built.ok()) {
     table_.Clear();
-    if (!SpillEligible(ctx, built)) return built;
+    if (!SpillEligibleTrip(ctx, built)) return built;
     // A failed build never disturbs `rows`, so they are salvageable here
     // even though the build tripped mid-way.
     return SpillBuildAndProbe(ctx, std::move(rows), /*right_open=*/false);
@@ -146,7 +112,7 @@ Status HashJoinOp::BuildTable(ExecContext* ctx, std::vector<Value>* rows) {
     t.raw.resize(n);
     bool conforms = true;
     for (size_t i = 0; i < n && conforms; ++i) {
-      TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx, i));
+      TMDB_RETURN_IF_ERROR(PeriodicCheckGuard(ctx, i));
       const Value* v = (*rows)[i].FindField(spec.right_field);
       switch (spec.kind) {
         case FastKeySpec::Kind::kI64:
@@ -192,7 +158,7 @@ Status HashJoinOp::BuildTable(ExecContext* ctx, std::vector<Value>* rows) {
     // only reads it.
     auto eval_keys = [&](MorselRange range, ExecContext* c) -> Status {
       for (size_t i = range.begin; i < range.end; ++i) {
-        TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(c, i - range.begin));
+        TMDB_RETURN_IF_ERROR(PeriodicCheckGuard(c, i - range.begin));
         TMDB_ASSIGN_OR_RETURN(t.keys[i],
                               EvalCompositeKey(right_keys_, spec_.right_var,
                                                (*rows)[i], c));
@@ -213,7 +179,7 @@ Status HashJoinOp::BuildTable(ExecContext* ctx, std::vector<Value>* rows) {
 
   TMDB_RETURN_IF_ERROR(t.Reserve(n));
   for (size_t i = 0; i < n; ++i) {
-    TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(ctx, i));
+    TMDB_RETURN_IF_ERROR(PeriodicCheckGuard(ctx, i));
     t.Link(static_cast<uint32_t>(i));
   }
   t.Finish();
@@ -374,21 +340,23 @@ Status HashJoinOp::ProcessLeftRow(const Value& left_row, const Value* left_key,
   return matcher_.Match(left_row, it, ctx, out);
 }
 
-Status HashJoinOp::ParallelProbe() {
+Result<bool> HashJoinOp::ProbeBatchParallel(std::vector<Value>* out) {
+  // Subplan-bearing probe expressions are handled too: each worker gets its
+  // own forked subplan evaluator, all sharing the run's memo cache.
   std::vector<Value> rows;
-  while (true) {
-    TMDB_ASSIGN_OR_RETURN(size_t got, left_->NextBatch(&rows, kExecBatchSize));
-    if (got == 0) break;
-    TMDB_RETURN_IF_ERROR(build_res_.Add(got * sizeof(Value)));
+  TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
+  TMDB_ASSIGN_OR_RETURN(size_t got, left_->NextBatch(&rows, kExecBatchSize));
+  if (got == 0) {
+    probe_done_ = true;
+    return false;
   }
-  std::vector<MorselRange> morsels = SplitMorsels(rows.size(),
-                                                  ctx_->num_threads);
+  std::vector<MorselRange> morsels = SplitMorsels(got, ctx_->num_threads);
   std::vector<std::vector<Value>> outputs(morsels.size());
   TMDB_RETURN_IF_ERROR(ParallelForMorselsWithStats(
       ctx_, morsels,
       [&](size_t m, MorselRange range, ExecContext* wctx) -> Status {
         for (size_t i = range.begin; i < range.end; ++i) {
-          TMDB_RETURN_IF_ERROR(PeriodicGuardCheck(wctx, i - range.begin));
+          TMDB_RETURN_IF_ERROR(PeriodicCheckGuard(wctx, i - range.begin));
           TMDB_RETURN_IF_ERROR(
               ProcessLeftRow(rows[i], nullptr, wctx, &outputs[m]));
         }
@@ -396,21 +364,17 @@ Status HashJoinOp::ParallelProbe() {
       }));
   // Concatenating in morsel order reproduces the serial emission order;
   // rows_emitted is counted at serve time, as on the serial path.
-  size_t total = 0;
-  for (const std::vector<Value>& part : outputs) total += part.size();
-  TMDB_RETURN_IF_ERROR(build_res_.Add(total * sizeof(Value)));
-  std::vector<Value> output;
-  output.reserve(total);
   for (std::vector<Value>& part : outputs) {
-    for (Value& row : part) output.push_back(std::move(row));
+    out->insert(out->end(), std::make_move_iterator(part.begin()),
+                std::make_move_iterator(part.end()));
   }
-  serve_.Load(std::move(output));
-  return Status::OK();
+  return true;
 }
 
 Result<size_t> HashJoinOp::NextBatch(std::vector<Value>* out, size_t max) {
   auto refill = [this](std::vector<Value>* buf) -> Result<bool> {
-    if (materialized_) return false;
+    if (probe_done_) return false;
+    if (ctx_->parallel_enabled()) return ProbeBatchParallel(buf);
     TMDB_ASSIGN_OR_RETURN(Value * left_row, left_in_.Read(left_.get(), ctx_));
     if (left_row == nullptr) return false;
     TMDB_RETURN_IF_ERROR(ProcessLeftRow(*left_row, nullptr, ctx_, buf));
@@ -423,8 +387,7 @@ void HashJoinOp::Close() {
   table_.Clear();
   left_in_.Reset();
   serve_.Clear();
-  materialized_ = false;
-  spilled_ = false;
+  probe_done_ = false;
   memo_.clear();
   memo_enabled_ = false;
   build_res_.Release();

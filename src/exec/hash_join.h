@@ -12,6 +12,7 @@
 #include "exec/join_common.h"
 #include "exec/physical_op.h"
 #include "exec/query_guard.h"
+#include "exec/spill_util.h"
 #include "values/column_store.h"
 
 namespace tmdb {
@@ -34,16 +35,19 @@ namespace tmdb {
 /// composite key Value otherwise.
 ///
 /// With ExecContext::parallel_enabled(), the composite build keys and
-/// their hashes are evaluated in morsels, and the probe side is
-/// materialised and probed in parallel morsels. Both are bit-identical to
-/// serial execution: the chains are linked serially, morsel outputs are
+/// their hashes are evaluated in morsels, and the probe side is probed one
+/// left batch (kExecBatchSize rows) per refill, split into parallel
+/// morsels, so the probe holds one batch's input and output at a time, as
+/// the serial probe holds one row's. Both are bit-identical to serial
+/// execution: the chains are linked serially, morsel outputs are
 /// concatenated in probe order, and worker-local stats merge
 /// deterministically.
 ///
 /// When ExecContext::spill is set and the memory budget trips while the
 /// build side materialises, the operator degrades to Grace-style
-/// partitioned execution instead of failing (hash_join_spill.cc): build and
-/// probe sides partition to disk on the composite key's hash, partitions
+/// partitioned execution instead of failing (hash_join_spill.cc, over the
+/// shared Grace mechanics in spill_util.h): build and probe sides partition
+/// to disk on the composite key's hash, partitions
 /// are processed one at a time (recursing on partitions that still exceed
 /// the budget, to a bounded depth), and spilled bytes are refunded to the
 /// guard. Rows that share a key always land in the same partition, so every
@@ -124,9 +128,9 @@ class HashJoinOp final : public PhysicalOp {
   /// (A Grace partition fills table_ record by record instead, with the
   /// same Reserve / Link / Finish.)
   Status BuildTable(ExecContext* ctx, std::vector<Value>* rows);
-  /// Materialises the left input and probes it with parallel morsels,
-  /// loading the whole output into serve_.
-  Status ParallelProbe();
+  /// Probes the next left batch with parallel morsels, appending its output
+  /// to `out` in probe order; false at end of input.
+  Result<bool> ProbeBatchParallel(std::vector<Value>* out);
   /// Appends the join output rows of one left row to `out` (all modes).
   /// `left_key` is the row's composite key when the caller already has it
   /// (a Grace partition); null means evaluate it here.
@@ -135,31 +139,21 @@ class HashJoinOp final : public PhysicalOp {
 
   // --- Grace spill path (hash_join_spill.cc) ---
 
-  /// One partition's pair of files on disk.
-  struct SpillPart {
-    std::string build_path;
-    std::string probe_path;
-    uint64_t build_records = 0;
-  };
-
-  /// True when `s` is a memory-budget trip that spilling can relieve.
-  bool SpillEligible(const ExecContext* ctx, const Status& s) const;
   /// Diverts the build to disk: partitions the salvaged (and any remaining)
   /// build rows plus the whole probe side, then processes partitions one at
   /// a time into serve_. `right_open` says the build input still has rows.
   Status SpillBuildAndProbe(ExecContext* ctx, std::vector<Value> build_rows,
                             bool right_open);
+  /// Joins each co-partitioned pair of files of `build` and `probe`.
+  Status JoinSpillFans(ExecContext* ctx, const SpillFan& build,
+                       const SpillFan& probe, TaggedRows* out);
   /// Loads one partition's build file into table_ and probes its probe
-  /// file, appending (left-row tag, output row) pairs. Recurses via
-  /// Repartition when the partition alone exceeds the budget.
-  Status ProcessSpillPartition(ExecContext* ctx, const SpillPart& part,
-                               int depth,
-                               std::vector<std::pair<uint64_t, Value>>* out);
-  /// Splits both files of `part` into kSpillFanout sub-partitions at
-  /// depth+1 without decoding rows (keys only), then recurses on each.
-  Status RepartitionAndRecurse(ExecContext* ctx, const SpillPart& part,
-                               int depth,
-                               std::vector<std::pair<uint64_t, Value>>* out);
+  /// file, appending (left-row tag, output row) pairs. Repartitions both
+  /// files one level deeper when the partition alone exceeds the budget.
+  Status ProcessSpillPartition(ExecContext* ctx, const std::string& build_path,
+                               uint64_t build_records,
+                               const std::string& probe_path, int depth,
+                               TaggedRows* out);
 
   PhysicalOpPtr left_;
   PhysicalOpPtr right_;
@@ -172,15 +166,15 @@ class HashJoinOp final : public PhysicalOp {
 
   Table table_;
 
-  // Probe side, one left row at a time, and the output handed out by
-  // NextBatch. The morsel and spill paths materialise the whole output
-  // into serve_ at Open and set materialized_.
+  // Probe side, one left row (serial) or batch (morsels) per refill, and
+  // the output handed out by NextBatch.
   BatchReader left_in_;
   JoinServe serve_;
-  bool materialized_ = false;
 
-  // True once this Open diverted to the Grace spill path.
-  bool spilled_ = false;
+  // True once serve_ holds the rest of the output: the Grace spill path
+  // loaded all of it at Open, or the morsel probe reached the end of the
+  // left input (so later refills stop without another pull).
+  bool probe_done_ = false;
 
   // Bytes charged to the guard for build/probe materialisation.
   GuardReservation build_res_;

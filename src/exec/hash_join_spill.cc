@@ -2,191 +2,132 @@
 // included). Engaged by Open/DrainAndBuild when a memory-budget trip is
 // spill-eligible; see the class comment in hash_join.h for the invariants
 // (co-partitioning of equal keys, tag-restored output order, guard refund).
+// The file mechanics live in spill_util.h.
+//
+// Build records are key|row; probe records are tag|key|row, the tag being
+// the left row's input index.
 
-#include <algorithm>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "base/string_util.h"
 #include "exec/hash_join.h"
-#include "exec/spill_util.h"
-#include "spill/partition.h"
-#include "spill/spill_file.h"
-#include "spill/spill_manager.h"
 #include "spill/value_codec.h"
 
 namespace tmdb {
 
-bool HashJoinOp::SpillEligible(const ExecContext* ctx, const Status& s) const {
-  return SpillEligibleTrip(ctx, s);
-}
-
 Status HashJoinOp::SpillBuildAndProbe(ExecContext* ctx,
                                       std::vector<Value> build_rows,
                                       bool right_open) {
-  spilled_ = true;
-  materialized_ = true;
-  SpillManager* mgr = ctx->spill;
-  FaultInjector* inj = SpillInjectorOf(ctx);
+  probe_done_ = true;
 
   // Everything the reservation covered either moves to disk below or is
   // freed as it goes — refund it all so the guard's accounting tracks what
   // is actually resident. (Writer block buffers are small and bounded:
-  // 2 × fanout × block_bytes, all freed before partitions are processed.)
+  // fanout × block_bytes per fan, freed as each fan finishes.)
   build_res_.Release();
 
-  std::vector<SpillPart> parts(kSpillFanout);
+  SpillFan build;
+  SpillFan probe;
   {
     // Write-out sheds memory; suspend only the memory comparison (cancel,
     // deadline, max_rows, and injected faults stay live — see QueryGuard).
     MemoryCheckSuspension suspend(ctx->guard);
     std::string scratch;
 
-    // --- build side out ---
-    std::vector<std::unique_ptr<SpillWriter>> writers(kSpillFanout);
-    for (size_t p = 0; p < kSpillFanout; ++p) {
-      TMDB_ASSIGN_OR_RETURN(parts[p].build_path,
-                            mgr->NewFilePath(StrCat("hj-build-d0-p", p)));
-      writers[p] = std::make_unique<SpillWriter>(parts[p].build_path,
-                                                 mgr->block_bytes(), inj);
-      TMDB_RETURN_IF_ERROR(writers[p]->Open());
-    }
-    auto spill_build_row = [&](Value row) -> Status {
-      TMDB_ASSIGN_OR_RETURN(Value key, EvalCompositeKey(right_keys_,
-                                                        spec_.right_var,
-                                                        row, ctx));
-      const size_t p = SpillPartitionOf(key.Hash(), /*level=*/0);
-      scratch.clear();
-      EncodeValue(key, &scratch);
-      EncodeValue(row, &scratch);
-      TMDB_RETURN_IF_ERROR(writers[p]->Append(scratch));
-      if (writers[p]->TookBlockBoundary()) TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
-      return Status::OK();
-    };
-    for (size_t i = 0; i < build_rows.size(); ++i) {
-      TMDB_RETURN_IF_ERROR(PeriodicSpillGuardCheck(ctx, i));
-      Value row = std::move(build_rows[i]);
-      build_rows[i] = Value();  // free the rep promptly; memory falls as we go
-      TMDB_RETURN_IF_ERROR(spill_build_row(std::move(row)));
-    }
-    build_rows.clear();
-    build_rows.shrink_to_fit();
-    if (right_open) {
-      std::vector<Value> batch;
-      while (true) {
-        TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
-        batch.clear();
-        TMDB_ASSIGN_OR_RETURN(size_t got,
-                              right_->NextBatch(&batch, kExecBatchSize));
-        if (got == 0) break;
-        ctx->stats->rows_built += got;
-        for (Value& row : batch) {
-          TMDB_RETURN_IF_ERROR(spill_build_row(std::move(row)));
-        }
-      }
-    }
+    TMDB_RETURN_IF_ERROR(build.Open(ctx, "hj-build", /*level=*/0));
+    TMDB_RETURN_IF_ERROR(SpillRows(
+        ctx, std::move(build_rows), right_open ? right_.get() : nullptr,
+        /*count_built=*/true, [&](Value row) -> Status {
+          TMDB_ASSIGN_OR_RETURN(Value key, EvalCompositeKey(right_keys_,
+                                                            spec_.right_var,
+                                                            row, ctx));
+          scratch.clear();
+          EncodeValue(key, &scratch);
+          EncodeValue(row, &scratch);
+          return build.Append(key.Hash(), scratch);
+        }));
     right_->Close();
-    for (size_t p = 0; p < kSpillFanout; ++p) {
-      TMDB_RETURN_IF_ERROR(writers[p]->Finish());
-      ctx->stats->spill_bytes_written += writers[p]->stats().bytes;
-      parts[p].build_records = writers[p]->stats().records;
-    }
-    ctx->stats->spill_partitions += kSpillFanout;
+    TMDB_RETURN_IF_ERROR(build.Finish());
 
-    // --- probe side out, co-partitioned on the same hash ---
+    // The probe side, co-partitioned on the same hash.
     TMDB_RETURN_IF_ERROR(left_->Open(ctx));
-    std::vector<std::unique_ptr<SpillWriter>> pwriters(kSpillFanout);
-    for (size_t p = 0; p < kSpillFanout; ++p) {
-      TMDB_ASSIGN_OR_RETURN(parts[p].probe_path,
-                            mgr->NewFilePath(StrCat("hj-probe-d0-p", p)));
-      pwriters[p] = std::make_unique<SpillWriter>(parts[p].probe_path,
-                                                  mgr->block_bytes(), inj);
-      TMDB_RETURN_IF_ERROR(pwriters[p]->Open());
-    }
-    uint64_t tag = 0;  // original left-row index; restores output order
-    std::vector<Value> batch;
-    while (true) {
-      TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
-      batch.clear();
-      TMDB_ASSIGN_OR_RETURN(size_t got, left_->NextBatch(&batch,
-                                                         kExecBatchSize));
-      if (got == 0) break;
-      for (Value& left_row : batch) {
-        TMDB_ASSIGN_OR_RETURN(Value key, EvalCompositeKey(left_keys_,
-                                                          spec_.left_var,
-                                                          left_row, ctx));
-        const size_t p = SpillPartitionOf(key.Hash(), /*level=*/0);
-        scratch.clear();
-        PutVarint(tag++, &scratch);
-        EncodeValue(key, &scratch);
-        EncodeValue(left_row, &scratch);
-        left_row = Value();
-        TMDB_RETURN_IF_ERROR(pwriters[p]->Append(scratch));
-        if (pwriters[p]->TookBlockBoundary()) {
-          TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
-        }
-      }
-    }
+    TMDB_RETURN_IF_ERROR(
+        probe.Open(ctx, "hj-probe", /*level=*/0, /*counts_partitions=*/false));
+    uint64_t tag = 0;
+    TMDB_RETURN_IF_ERROR(SpillRows(
+        ctx, {}, left_.get(), /*count_built=*/false, [&](Value row) -> Status {
+          TMDB_ASSIGN_OR_RETURN(Value key, EvalCompositeKey(left_keys_,
+                                                            spec_.left_var,
+                                                            row, ctx));
+          scratch.clear();
+          PutVarint(tag++, &scratch);
+          EncodeValue(key, &scratch);
+          EncodeValue(row, &scratch);
+          return probe.Append(key.Hash(), scratch);
+        }));
     left_->Close();
-    for (size_t p = 0; p < kSpillFanout; ++p) {
-      TMDB_RETURN_IF_ERROR(pwriters[p]->Finish());
-      ctx->stats->spill_bytes_written += pwriters[p]->stats().bytes;
-    }
+    TMDB_RETURN_IF_ERROR(probe.Finish());
   }
 
-  // --- one partition at a time, recursing where one still overflows ---
-  std::vector<std::pair<uint64_t, Value>> tagged;
-  for (size_t p = 0; p < kSpillFanout; ++p) {
-    TMDB_RETURN_IF_ERROR(ProcessSpillPartition(ctx, parts[p], /*depth=*/0,
-                                               &tagged));
-  }
-
-  // Restore the original probe order bit for bit: tags are left-row
-  // indexes, and the stable sort keeps each row's outputs in bucket order.
-  std::stable_sort(
-      tagged.begin(), tagged.end(),
-      [](const std::pair<uint64_t, Value>& a,
-         const std::pair<uint64_t, Value>& b) { return a.first < b.first; });
-  std::vector<Value> output;
-  output.reserve(tagged.size());
-  for (auto& entry : tagged) output.push_back(std::move(entry.second));
-  serve_.Load(std::move(output));
+  TaggedRows tagged;
+  TMDB_RETURN_IF_ERROR(JoinSpillFans(ctx, build, probe, &tagged));
+  serve_.Load(RestoreTagOrder(std::move(tagged)));
   return Status::OK();
 }
 
-Status HashJoinOp::ProcessSpillPartition(
-    ExecContext* ctx, const SpillPart& part, int depth,
-    std::vector<std::pair<uint64_t, Value>>* out) {
-  SpillManager* mgr = ctx->spill;
-  FaultInjector* inj = SpillInjectorOf(ctx);
-  const size_t out_base = out->size();
-  ctx->stats->spill_max_depth =
-      std::max<uint64_t>(ctx->stats->spill_max_depth,
-                         static_cast<uint64_t>(depth) + 1);
+Status HashJoinOp::JoinSpillFans(ExecContext* ctx, const SpillFan& build,
+                                 const SpillFan& probe, TaggedRows* out) {
+  for (size_t p = 0; p < kSpillFanout; ++p) {
+    TMDB_RETURN_IF_ERROR(ProcessSpillPartition(
+        ctx, build.path(p), build.records(p), probe.path(p), build.level(),
+        out));
+  }
+  return Status::OK();
+}
 
-  // Load this partition's build half into table_, linking each record as
-  // it is decoded so equal keys share one rep from the start. The memory
-  // check is live again here: a trip means this partition alone exceeds the
-  // budget, and we recurse instead of failing (up to the depth bound).
+Status HashJoinOp::ProcessSpillPartition(ExecContext* ctx,
+                                         const std::string& build_path,
+                                         uint64_t build_records,
+                                         const std::string& probe_path,
+                                         int depth, TaggedRows* out) {
+  const size_t out_base = out->size();
+  NoteSpillDepth(ctx, depth);
+
+  // A memory trip while this partition is joined means it alone exceeds
+  // the budget: split both of its files one level deeper and join those,
+  // up to the depth bound.
+  auto recurse_or_fail = [&](const Status& failed,
+                             const char* bottom_out) -> Status {
+    if (!SpillEligibleTrip(ctx, failed)) return failed;
+    if (depth >= kMaxSpillDepth) {
+      return failed.WithContext(StrCat("spill recursion limit ",
+                                       kMaxSpillDepth, " reached; ",
+                                       bottom_out));
+    }
+    SpillFan build;
+    SpillFan probe;
+    TMDB_RETURN_IF_ERROR(build.Open(ctx, "hj-build", depth + 1));
+    TMDB_RETURN_IF_ERROR(
+        RepartitionSpillFile(ctx, build_path, /*tagged=*/false, &build));
+    TMDB_RETURN_IF_ERROR(
+        probe.Open(ctx, "hj-probe", depth + 1, /*counts_partitions=*/false));
+    TMDB_RETURN_IF_ERROR(
+        RepartitionSpillFile(ctx, probe_path, /*tagged=*/true, &probe));
+    return JoinSpillFans(ctx, build, probe, out);
+  };
+
+  // Load the build half into table_, linking each record as it is decoded
+  // so equal keys share one rep from the start. The memory check is live
+  // again here.
   Table& t = table_;
   t.res.Reset(ctx->guard);
-  SpillReader build_reader(part.build_path, inj);
-  Status load = [&]() -> Status {
-    TMDB_RETURN_IF_ERROR(t.Reserve(part.build_records));
-    TMDB_RETURN_IF_ERROR(build_reader.Open());
-    while (true) {
-      std::string_view rec;
-      bool eof = false;
-      TMDB_RETURN_IF_ERROR(build_reader.Next(&rec, &eof));
-      if (eof) break;
-      if (build_reader.TookBlockBoundary()) {
-        TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
-      }
+  Status load = t.Reserve(build_records);
+  if (load.ok()) {
+    load = ScanSpillFile(ctx, build_path, [&](std::string_view rec) -> Status {
       const size_t i = t.rows.size();
-      TMDB_RETURN_IF_ERROR(PeriodicSpillGuardCheck(ctx, i));
-      if (i == part.build_records) {
+      if (i == build_records) {
         return Status::Internal("spill partition outgrew its record count");
       }
       size_t pos = 0;
@@ -194,160 +135,57 @@ Status HashJoinOp::ProcessSpillPartition(
       TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &t.rows.emplace_back()));
       TMDB_RETURN_IF_ERROR(t.res.Add(2 * sizeof(Value)));
       t.Link(static_cast<uint32_t>(i));
-    }
-    t.Finish();
-    return Status::OK();
-  }();
-  ctx->stats->spill_bytes_read += build_reader.stats().bytes;
-  build_reader.Close();
+      return Status::OK();
+    });
+  }
   if (!load.ok()) {
     t.Clear();
-    const bool memory_trip =
-        load.code() == StatusCode::kResourceExhausted &&
-        ctx->guard != nullptr && ctx->guard->last_trip_was_memory();
-    if (memory_trip && depth < kMaxSpillDepth) {
-      return RepartitionAndRecurse(ctx, part, depth, out);
-    }
-    if (memory_trip) {
-      return load.WithContext(
-          StrCat("spill recursion limit ", kMaxSpillDepth,
-                 " reached; partition too skewed for the memory budget"));
-    }
-    return load;
+    return recurse_or_fail(
+        load, "partition too skewed for the memory budget");
   }
+  t.Finish();
 
   // Stream the co-partitioned probe half against the table. Decoded left
   // rows are transient; only output rows stay resident (charged below).
-  SpillReader probe_reader(part.probe_path, inj);
-  Status probe = [&]() -> Status {
-    TMDB_RETURN_IF_ERROR(probe_reader.Open());
-    std::vector<Value> row_out;
-    size_t i = 0;
-    while (true) {
-      std::string_view rec;
-      bool eof = false;
-      TMDB_RETURN_IF_ERROR(probe_reader.Next(&rec, &eof));
-      if (eof) break;
-      if (probe_reader.TookBlockBoundary()) {
-        TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
-      }
-      TMDB_RETURN_IF_ERROR(PeriodicSpillGuardCheck(ctx, i++));
-      size_t pos = 0;
-      uint64_t tag = 0;
-      Value key;
-      Value left_row;
-      TMDB_RETURN_IF_ERROR(GetVarint(rec, &pos, &tag));
-      TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &key));
-      TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &left_row));
-      row_out.clear();
-      TMDB_RETURN_IF_ERROR(ProcessLeftRow(left_row, &key, ctx, &row_out));
-      if (!row_out.empty()) {
-        TMDB_RETURN_IF_ERROR(build_res_.Add(
-            row_out.size() * sizeof(std::pair<uint64_t, Value>)));
-        for (Value& v : row_out) out->emplace_back(tag, std::move(v));
-      }
-    }
-    return Status::OK();
-  }();
-  ctx->stats->spill_bytes_read += probe_reader.stats().bytes;
-  probe_reader.Close();
+  std::vector<Value> row_out;
+  Status probed =
+      ScanSpillFile(ctx, probe_path, [&](std::string_view rec) -> Status {
+        size_t pos = 0;
+        uint64_t tag = 0;
+        Value key;
+        Value left_row;
+        TMDB_RETURN_IF_ERROR(GetVarint(rec, &pos, &tag));
+        TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &key));
+        TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &left_row));
+        row_out.clear();
+        TMDB_RETURN_IF_ERROR(ProcessLeftRow(left_row, &key, ctx, &row_out));
+        if (!row_out.empty()) {
+          TMDB_RETURN_IF_ERROR(build_res_.Add(
+              row_out.size() * sizeof(std::pair<uint64_t, Value>)));
+          for (Value& v : row_out) out->emplace_back(tag, std::move(v));
+        }
+        return Status::OK();
+      });
   t.Clear();
-  if (!probe.ok()) {
+  if (!probed.ok()) {
     // A memory trip *during the probe* means table + accumulated output no
     // longer fit together. Recursing still helps — it shrinks the table's
     // share — so drop this partition's partial output (refunding its
     // charge) and retry one level deeper. Only when the output alone
     // exhausts the budget does the recursion bottom out and fail.
-    const bool memory_trip =
-        probe.code() == StatusCode::kResourceExhausted &&
-        ctx->guard != nullptr && ctx->guard->last_trip_was_memory();
-    if (memory_trip && depth < kMaxSpillDepth) {
+    if (SpillEligibleTrip(ctx, probed) && depth < kMaxSpillDepth) {
       build_res_.Shrink((out->size() - out_base) *
                         sizeof(std::pair<uint64_t, Value>));
       out->resize(out_base);
-      return RepartitionAndRecurse(ctx, part, depth, out);
     }
-    if (memory_trip) {
-      return probe.WithContext(
-          StrCat("spill recursion limit ", kMaxSpillDepth,
-                 " reached; join output alone exceeds the memory budget"));
-    }
-    return probe;
+    return recurse_or_fail(
+        probed, "join output alone exceeds the memory budget");
   }
 
   // This partition is fully joined; its files go away now, not at query
   // end, so peak disk stays one recursion path, not the whole input.
-  mgr->RemoveFile(part.build_path);
-  mgr->RemoveFile(part.probe_path);
-  return Status::OK();
-}
-
-Status HashJoinOp::RepartitionAndRecurse(
-    ExecContext* ctx, const SpillPart& part, int depth,
-    std::vector<std::pair<uint64_t, Value>>* out) {
-  SpillManager* mgr = ctx->spill;
-  FaultInjector* inj = SpillInjectorOf(ctx);
-  std::vector<SpillPart> subparts(kSpillFanout);
-  {
-    MemoryCheckSuspension suspend(ctx->guard);
-    for (int side = 0; side < 2; ++side) {
-      const bool is_build = side == 0;
-      const std::string& src = is_build ? part.build_path : part.probe_path;
-      std::vector<std::unique_ptr<SpillWriter>> writers(kSpillFanout);
-      for (size_t p = 0; p < kSpillFanout; ++p) {
-        std::string* dst =
-            is_build ? &subparts[p].build_path : &subparts[p].probe_path;
-        TMDB_ASSIGN_OR_RETURN(
-            *dst, mgr->NewFilePath(StrCat("hj-", is_build ? "build" : "probe",
-                                          "-d", depth + 1, "-p", p)));
-        writers[p] =
-            std::make_unique<SpillWriter>(*dst, mgr->block_bytes(), inj);
-        TMDB_RETURN_IF_ERROR(writers[p]->Open());
-      }
-      SpillReader reader(src, inj);
-      Status moved = [&]() -> Status {
-        TMDB_RETURN_IF_ERROR(reader.Open());
-        size_t i = 0;
-        while (true) {
-          std::string_view rec;
-          bool eof = false;
-          TMDB_RETURN_IF_ERROR(reader.Next(&rec, &eof));
-          if (eof) break;
-          if (reader.TookBlockBoundary()) TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
-          TMDB_RETURN_IF_ERROR(PeriodicSpillGuardCheck(ctx, i++));
-          // Route on the key alone; the record's bytes move verbatim, so a
-          // row is never re-encoded on its way down the recursion.
-          size_t pos = 0;
-          if (!is_build) {
-            uint64_t tag = 0;
-            TMDB_RETURN_IF_ERROR(GetVarint(rec, &pos, &tag));
-          }
-          Value key;
-          TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &key));
-          const size_t p = SpillPartitionOf(key.Hash(), depth + 1);
-          TMDB_RETURN_IF_ERROR(writers[p]->Append(rec));
-          if (writers[p]->TookBlockBoundary()) {
-            TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
-          }
-        }
-        return Status::OK();
-      }();
-      ctx->stats->spill_bytes_read += reader.stats().bytes;
-      reader.Close();
-      TMDB_RETURN_IF_ERROR(moved);
-      for (size_t p = 0; p < kSpillFanout; ++p) {
-        TMDB_RETURN_IF_ERROR(writers[p]->Finish());
-        ctx->stats->spill_bytes_written += writers[p]->stats().bytes;
-        if (is_build) subparts[p].build_records = writers[p]->stats().records;
-      }
-      if (is_build) ctx->stats->spill_partitions += kSpillFanout;
-      mgr->RemoveFile(src);
-    }
-  }
-  for (size_t p = 0; p < kSpillFanout; ++p) {
-    TMDB_RETURN_IF_ERROR(ProcessSpillPartition(ctx, subparts[p], depth + 1,
-                                               out));
-  }
+  ctx->spill->RemoveFile(build_path);
+  ctx->spill->RemoveFile(probe_path);
   return Status::OK();
 }
 

@@ -122,9 +122,9 @@ template <typename Iter>
 Status JoinMatcher::Match(const Value& left_row, Iter it, ExecContext* ctx,
                           std::vector<Value>* out) const {
   auto eval_pred = [&](const Value& right_row) -> Result<bool> {
-    if (checkpoint_pairs_ &&
-        (ctx->stats->predicate_evals & (kExecBatchSize - 1)) == 0) {
-      TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
+    if (checkpoint_pairs_) {
+      TMDB_RETURN_IF_ERROR(
+          PeriodicCheckGuard(ctx, ctx->stats->predicate_evals));
     }
     if (pred_is_true_) {
       ctx->stats->predicate_evals++;

@@ -77,15 +77,16 @@ Status MergeJoinOp::MaterialiseSorted(PhysicalOp* source,
   // Key pass: rows in `raw` are copied, never disturbed, so a trip while a
   // key subplan runs still salvages every row (the spill path recomputes
   // keys; subplan re-evaluations hit the cache).
-  side->rows.reserve(side->raw.size());
-  for (size_t i = 0; i < side->raw.size(); ++i) {
-    if ((i & (kExecBatchSize - 1)) == 0) {
-      TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-      TMDB_RETURN_IF_ERROR(side->res.Add(kExecBatchSize * sizeof(Keyed)));
+  const size_t n = side->raw.size();
+  side->rows.reserve(n);
+  for (size_t begin = 0; begin < n; begin += kExecBatchSize) {
+    TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
+    TMDB_RETURN_IF_ERROR(side->res.Add(kExecBatchSize * sizeof(Keyed)));
+    for (size_t i = begin; i < std::min(n, begin + kExecBatchSize); ++i) {
+      TMDB_ASSIGN_OR_RETURN(Value key,
+                            EvalCompositeKey(keys, var, side->raw[i], ctx_));
+      side->rows.emplace_back(std::move(key), side->raw[i]);
     }
-    TMDB_ASSIGN_OR_RETURN(Value key,
-                          EvalCompositeKey(keys, var, side->raw[i], ctx_));
-    side->rows.emplace_back(std::move(key), side->raw[i]);
   }
   std::stable_sort(side->rows.begin(), side->rows.end(),
                    [](const Keyed& a, const Keyed& b) {
@@ -154,30 +155,10 @@ Status MergeJoinOp::ExternalSortSide(PhysicalOp* source,
     return Status::OK();
   };
 
-  for (size_t i = 0; i < salvaged.size(); ++i) {
-    TMDB_RETURN_IF_ERROR(PeriodicSpillGuardCheck(ctx_, i));
-    Value row = std::move(salvaged[i]);
-    salvaged[i] = Value();  // free the rep promptly; memory falls as we go
-    TMDB_RETURN_IF_ERROR(add_row(std::move(row)));
-  }
-  salvaged.clear();
-  salvaged.shrink_to_fit();
-
-  if (!side->drained) {
-    std::vector<Value> batch;
-    while (true) {
-      TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-      batch.clear();
-      TMDB_ASSIGN_OR_RETURN(size_t got,
-                            source->NextBatch(&batch, kExecBatchSize));
-      if (got == 0) break;
-      ctx_->stats->rows_built += got;
-      for (Value& row : batch) {
-        TMDB_RETURN_IF_ERROR(add_row(std::move(row)));
-      }
-    }
-    side->drained = true;
-  }
+  TMDB_RETURN_IF_ERROR(SpillRows(ctx_, std::move(salvaged),
+                                 side->drained ? nullptr : source,
+                                 /*count_built=*/true, add_row));
+  side->drained = true;
   source->Close();
   TMDB_RETURN_IF_ERROR(flush());
 
@@ -261,9 +242,7 @@ Status MergeJoinOp::LoadRightRun(const Value& key) {
     if (right_pending_.first.Compare(key) < 0) {
       right_pending_ = Keyed();
       right_pending_valid_ = false;
-      if ((++work_ & (kExecBatchSize - 1)) == 0) {
-        TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-      }
+      TMDB_RETURN_IF_ERROR(PeriodicCheckGuard(ctx_, ++work_));
       continue;
     }
     break;
@@ -295,9 +274,7 @@ Status MergeJoinOp::LoadRightRun(const Value& key) {
     right_run_.push_back(std::move(right_pending_.second));
     right_pending_ = Keyed();
     right_pending_valid_ = false;
-    if ((++work_ & (kExecBatchSize - 1)) == 0) {
-      TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-    }
+    TMDB_RETURN_IF_ERROR(PeriodicCheckGuard(ctx_, ++work_));
   }
   return Status::OK();
 }
@@ -306,9 +283,7 @@ Result<size_t> MergeJoinOp::NextBatch(std::vector<Value>* out, size_t max) {
   // Each refill takes the next left row in key order and matches it
   // against its equal-key right run.
   auto refill = [this](std::vector<Value>* buf) -> Result<bool> {
-    if ((++work_ & (kExecBatchSize - 1)) == 0) {
-      TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-    }
+    TMDB_RETURN_IF_ERROR(PeriodicCheckGuard(ctx_, ++work_));
     Keyed left;
     TMDB_ASSIGN_OR_RETURN(bool have, NextFromSide(&left_side_, &left));
     if (!have) return false;

@@ -1,12 +1,10 @@
 #include "exec/nest_op.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "base/string_util.h"
 #include "exec/parallel_util.h"
-#include "exec/spill_util.h"
 #include "expr/eval.h"
 #include "values/value_ops.h"
 
@@ -59,47 +57,55 @@ Status NestOp::Open(ExecContext* ctx) {
   return SpillGroup(std::move(rows), drained);
 }
 
+Result<Value> NestOp::GroupKey(const Value& row) const {
+  std::vector<Value> key_values;
+  key_values.reserve(group_attrs_.size());
+  for (const std::string& attr : group_attrs_) {
+    TMDB_ASSIGN_OR_RETURN(Value v, row.Field(attr));
+    key_values.push_back(std::move(v));
+  }
+  return Value::Tuple(group_attrs_, std::move(key_values));
+}
+
+Result<Value> NestOp::ElemOf(const Value& row, const ExecContext* ctx) const {
+  Environment env(ctx->outer_env);
+  env.Bind(var_, row);
+  return EvalExpr(elem_, env, ctx->subplans);
+}
+
+NestOp::Grouper::Grouper(const NestOp& op, size_t expected_rows) : op_(op) {
+  index_.reserve(expected_rows);
+}
+
+void NestOp::Grouper::Add(uint64_t tag, Value& key, Value& elem) {
+  auto [it, inserted] = index_.emplace(key, keys_.size());
+  if (inserted) {
+    keys_.push_back(std::move(key));
+    groups_.emplace_back();
+    first_tag_.push_back(tag);
+  }
+  if (!(op_.null_group_to_empty_ && IsNullPadding(elem))) {
+    groups_[it->second].push_back(std::move(elem));
+  }
+}
+
+Result<Value> NestOp::Grouper::Take(size_t g) {
+  return ExtendTuple(keys_[g], op_.label_, Value::Set(std::move(groups_[g])));
+}
+
 Status NestOp::OpenSerial(std::vector<Value>* rows_ptr) {
   std::vector<Value>& rows = *rows_ptr;
-  // Group-by hash: key tuple → collected elements. Insertion order of
-  // groups is preserved for deterministic output.
-  std::unordered_map<Value, size_t, ValueHash, ValueEq> group_index;
-  std::vector<Value> keys;
-  std::vector<std::vector<Value>> groups;
-  group_index.reserve(rows.size());
-
+  Grouper grouper(*this, rows.size());
   for (size_t r = 0; r < rows.size(); ++r) {
-    if ((r & (kExecBatchSize - 1)) == 0) {
-      TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-    }
-    const Value& row = rows[r];
-    // Key = projection onto the grouping attributes.
-    std::vector<Value> key_values;
-    key_values.reserve(group_attrs_.size());
-    for (const std::string& attr : group_attrs_) {
-      TMDB_ASSIGN_OR_RETURN(Value v, row.Field(attr));
-      key_values.push_back(std::move(v));
-    }
-    Value key = Value::Tuple(group_attrs_, std::move(key_values));
-
-    Environment env(ctx_->outer_env);
-    env.Bind(var_, row);
-    TMDB_ASSIGN_OR_RETURN(Value elem, EvalExpr(elem_, env, ctx_->subplans));
-
-    auto [it, inserted] = group_index.emplace(key, groups.size());
-    if (inserted) {
-      keys.push_back(std::move(key));
-      groups.emplace_back();
-    }
-    if (!(null_group_to_empty_ && IsNullPadding(elem))) {
-      groups[it->second].push_back(std::move(elem));
-    }
+    TMDB_RETURN_IF_ERROR(PeriodicCheckGuard(ctx_, r));
+    TMDB_ASSIGN_OR_RETURN(Value key, GroupKey(rows[r]));
+    TMDB_ASSIGN_OR_RETURN(Value elem, ElemOf(rows[r], ctx_));
+    grouper.Add(r, key, elem);
   }
 
-  output_.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    TMDB_ASSIGN_OR_RETURN(
-        Value out, ExtendTuple(keys[i], label_, Value::Set(std::move(groups[i]))));
+  output_.reserve(grouper.size());
+  for (size_t g = 0; g < grouper.size(); ++g) {
+    TMDB_ASSIGN_OR_RETURN(Value out, grouper.Take(g));
     output_.push_back(std::move(out));
   }
   // The input batch is dead (its images live on in output_); refund its
@@ -130,20 +136,10 @@ Status NestOp::OpenParallel(std::vector<Value>* rows_ptr) {
       ctx_, SplitMorsels(n, ctx_->num_threads),
       [&](size_t, MorselRange range, ExecContext* wctx) -> Status {
         for (size_t i = range.begin; i < range.end; ++i) {
-          if (((i - range.begin) & (kExecBatchSize - 1)) == 0) {
-            TMDB_RETURN_IF_ERROR(CheckGuard(wctx));
-          }
-          std::vector<Value> key_values;
-          key_values.reserve(group_attrs_.size());
-          for (const std::string& attr : group_attrs_) {
-            TMDB_ASSIGN_OR_RETURN(Value v, rows[i].Field(attr));
-            key_values.push_back(std::move(v));
-          }
-          keys[i] = Value::Tuple(group_attrs_, std::move(key_values));
+          TMDB_RETURN_IF_ERROR(PeriodicCheckGuard(wctx, i - range.begin));
+          TMDB_ASSIGN_OR_RETURN(keys[i], GroupKey(rows[i]));
           hashes[i] = keys[i].Hash();
-          Environment env(ctx_->outer_env);
-          env.Bind(var_, rows[i]);
-          TMDB_ASSIGN_OR_RETURN(elems[i], EvalExpr(elem_, env, wctx->subplans));
+          TMDB_ASSIGN_OR_RETURN(elems[i], ElemOf(rows[i], wctx));
         }
         return Status::OK();
       }));
@@ -153,8 +149,7 @@ Status NestOp::OpenParallel(std::vector<Value>* rows_ptr) {
   // matches the serial path, and records each group's first-occurrence row
   // index for the merge. The Set canonicalisation (the expensive sort) also
   // happens here, in parallel.
-  std::vector<std::vector<std::pair<size_t, Value>>> partition_rows(
-      num_partitions);
+  std::vector<TaggedRows> partition_rows(num_partitions);
   std::vector<MorselRange> one_per_partition;
   one_per_partition.reserve(num_partitions);
   for (size_t p = 0; p < num_partitions; ++p) {
@@ -164,32 +159,17 @@ Status NestOp::OpenParallel(std::vector<Value>* rows_ptr) {
       ctx_->sched, ctx_->guard, one_per_partition,
       [&](size_t, MorselRange range) -> Status {
         const size_t p = range.begin;
-        std::unordered_map<Value, size_t, ValueHash, ValueEq> group_index;
-        std::vector<Value> part_keys;
-        std::vector<std::vector<Value>> groups;
-        std::vector<size_t> first_row;
+        Grouper grouper(*this);
         for (size_t i = 0; i < n; ++i) {
-          if ((i & (kExecBatchSize - 1)) == 0) {
-            TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-          }
+          TMDB_RETURN_IF_ERROR(PeriodicCheckGuard(ctx_, i));
           if (hashes[i] % num_partitions != p) continue;
-          auto [it, inserted] = group_index.emplace(keys[i], groups.size());
-          if (inserted) {
-            part_keys.push_back(std::move(keys[i]));
-            groups.emplace_back();
-            first_row.push_back(i);
-          }
-          if (!(null_group_to_empty_ && IsNullPadding(elems[i]))) {
-            groups[it->second].push_back(std::move(elems[i]));
-          }
+          grouper.Add(i, keys[i], elems[i]);
         }
-        std::vector<std::pair<size_t, Value>>& out = partition_rows[p];
-        out.reserve(part_keys.size());
-        for (size_t g = 0; g < part_keys.size(); ++g) {
-          TMDB_ASSIGN_OR_RETURN(
-              Value row, ExtendTuple(part_keys[g], label_,
-                                     Value::Set(std::move(groups[g]))));
-          out.emplace_back(first_row[g], std::move(row));
+        TaggedRows& out = partition_rows[p];
+        out.reserve(grouper.size());
+        for (size_t g = 0; g < grouper.size(); ++g) {
+          TMDB_ASSIGN_OR_RETURN(Value row, grouper.Take(g));
+          out.emplace_back(grouper.first_tag(g), std::move(row));
         }
         return Status::OK();
       }));
@@ -207,19 +187,15 @@ Status NestOp::OpenParallel(std::vector<Value>* rows_ptr) {
   rows.shrink_to_fit();
   build_res_.Shrink(scratch_bytes + n * sizeof(Value));
 
-  // Merge: serial output order is group first-occurrence order, so sort the
-  // partition outputs by first-occurrence row index.
-  std::vector<std::pair<size_t, Value>> merged;
+  // Merge: serial output order is group first-occurrence order.
+  TaggedRows merged;
   size_t total = 0;
-  for (const auto& part : partition_rows) total += part.size();
+  for (const TaggedRows& part : partition_rows) total += part.size();
   merged.reserve(total);
-  for (auto& part : partition_rows) {
+  for (TaggedRows& part : partition_rows) {
     for (auto& entry : part) merged.push_back(std::move(entry));
   }
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  output_.reserve(merged.size());
-  for (auto& entry : merged) output_.push_back(std::move(entry.second));
+  output_ = RestoreTagOrder(std::move(merged));
   return Status::OK();
 }
 

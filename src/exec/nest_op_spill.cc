@@ -2,6 +2,7 @@
 // memory trip during the drain or the grouping is spill-eligible; serial
 // and parallel grouping paths both divert here (the spill path itself is
 // serial, and its tag discipline reproduces the same output either way).
+// The file mechanics live in spill_util.h.
 //
 // Rows are hash-partitioned by group key into spill files, each record
 // carrying its input row index as a varint tag plus the encoded key and
@@ -12,130 +13,64 @@
 // final stable sort by tag restores the serial group insertion order bit
 // for bit.
 
-#include <algorithm>
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "base/string_util.h"
 #include "exec/nest_op.h"
-#include "exec/spill_util.h"
-#include "expr/eval.h"
-#include "spill/partition.h"
-#include "spill/spill_file.h"
-#include "spill/spill_manager.h"
 #include "spill/value_codec.h"
-#include "values/value_ops.h"
 
 namespace tmdb {
 
 Status NestOp::SpillGroup(std::vector<Value> rows, bool drained) {
-  SpillManager* mgr = ctx_->spill;
-  FaultInjector* inj = SpillInjectorOf(ctx_);
-
   // Everything the reservation covered either moves to disk below or is
   // freed as it goes — refund it all so the guard tracks actual residency.
   build_res_.Release();
 
-  std::vector<std::string> parts(kSpillFanout);
+  SpillFan fan;
   {
     // Write-out sheds memory; suspend only the memory comparison (cancel,
     // deadline, max_rows, and injected faults stay live).
     MemoryCheckSuspension suspend(ctx_->guard);
+    TMDB_RETURN_IF_ERROR(fan.Open(ctx_, "nest", /*level=*/0));
     std::string scratch;
-    std::vector<std::unique_ptr<SpillWriter>> writers(kSpillFanout);
-    for (size_t p = 0; p < kSpillFanout; ++p) {
-      TMDB_ASSIGN_OR_RETURN(parts[p],
-                            mgr->NewFilePath(StrCat("nest-d0-p", p)));
-      writers[p] =
-          std::make_unique<SpillWriter>(parts[p], mgr->block_bytes(), inj);
-      TMDB_RETURN_IF_ERROR(writers[p]->Open());
-    }
     uint64_t tag = 0;  // input row index; restores group insertion order
-    auto spill_row = [&](const Value& row) -> Status {
-      std::vector<Value> key_values;
-      key_values.reserve(group_attrs_.size());
-      for (const std::string& attr : group_attrs_) {
-        TMDB_ASSIGN_OR_RETURN(Value v, row.Field(attr));
-        key_values.push_back(std::move(v));
-      }
-      Value key = Value::Tuple(group_attrs_, std::move(key_values));
-      // The element image is evaluated here, once per row in input order —
-      // the same evaluation sequence as the serial in-memory path — and
-      // spilled, so a group's elements never need to be resident together
-      // until its own partition is processed.
-      Environment env(ctx_->outer_env);
-      env.Bind(var_, row);
-      TMDB_ASSIGN_OR_RETURN(Value elem, EvalExpr(elem_, env, ctx_->subplans));
-      const size_t p = SpillPartitionOf(key.Hash(), /*level=*/0);
-      scratch.clear();
-      PutVarint(tag++, &scratch);
-      EncodeValue(key, &scratch);
-      EncodeValue(elem, &scratch);
-      TMDB_RETURN_IF_ERROR(writers[p]->Append(scratch));
-      if (writers[p]->TookBlockBoundary()) {
-        TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-      }
-      return Status::OK();
-    };
-    for (size_t i = 0; i < rows.size(); ++i) {
-      TMDB_RETURN_IF_ERROR(PeriodicSpillGuardCheck(ctx_, i));
-      Value row = std::move(rows[i]);
-      rows[i] = Value();  // free the rep promptly; memory falls as we go
-      TMDB_RETURN_IF_ERROR(spill_row(row));
-    }
-    rows.clear();
-    rows.shrink_to_fit();
-    if (!drained) {
-      std::vector<Value> batch;
-      while (true) {
-        TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-        batch.clear();
-        TMDB_ASSIGN_OR_RETURN(size_t got,
-                              child_->NextBatch(&batch, kExecBatchSize));
-        if (got == 0) break;
-        ctx_->stats->rows_built += got;
-        for (Value& row : batch) {
-          Value r = std::move(row);
-          row = Value();
-          TMDB_RETURN_IF_ERROR(spill_row(r));
-        }
-      }
-    }
+    TMDB_RETURN_IF_ERROR(SpillRows(
+        ctx_, std::move(rows), drained ? nullptr : child_.get(),
+        /*count_built=*/true, [&](Value row) -> Status {
+          // The element image is evaluated here, once per row in input
+          // order — the same evaluation sequence as the serial in-memory
+          // path — and spilled, so a group's elements never need to be
+          // resident together until its own partition is processed.
+          TMDB_ASSIGN_OR_RETURN(Value key, GroupKey(row));
+          TMDB_ASSIGN_OR_RETURN(Value elem, ElemOf(row, ctx_));
+          scratch.clear();
+          PutVarint(tag++, &scratch);
+          EncodeValue(key, &scratch);
+          EncodeValue(elem, &scratch);
+          return fan.Append(key.Hash(), scratch);
+        }));
     child_->Close();
-    for (size_t p = 0; p < kSpillFanout; ++p) {
-      TMDB_RETURN_IF_ERROR(writers[p]->Finish());
-      ctx_->stats->spill_bytes_written += writers[p]->stats().bytes;
-    }
-    ctx_->stats->spill_partitions += kSpillFanout;
+    TMDB_RETURN_IF_ERROR(fan.Finish());
   }
 
-  // One partition at a time, recursing where one's group state still
-  // overflows the budget.
-  std::vector<std::pair<uint64_t, Value>> tagged;
-  for (size_t p = 0; p < kSpillFanout; ++p) {
-    TMDB_RETURN_IF_ERROR(ProcessNestPartition(parts[p], /*depth=*/0, &tagged));
-  }
-
-  std::stable_sort(
-      tagged.begin(), tagged.end(),
-      [](const std::pair<uint64_t, Value>& a,
-         const std::pair<uint64_t, Value>& b) { return a.first < b.first; });
-  output_.reserve(tagged.size());
-  for (auto& entry : tagged) output_.push_back(std::move(entry.second));
+  TaggedRows tagged;
+  TMDB_RETURN_IF_ERROR(GroupSpillFan(fan, &tagged));
+  output_ = RestoreTagOrder(std::move(tagged));
   return Status::OK();
 }
 
-Status NestOp::ProcessNestPartition(
-    const std::string& path, int depth,
-    std::vector<std::pair<uint64_t, Value>>* out) {
-  SpillManager* mgr = ctx_->spill;
-  FaultInjector* inj = SpillInjectorOf(ctx_);
+Status NestOp::GroupSpillFan(const SpillFan& fan, TaggedRows* out) {
+  for (size_t p = 0; p < kSpillFanout; ++p) {
+    TMDB_RETURN_IF_ERROR(ProcessNestPartition(fan.path(p), fan.level(), out));
+  }
+  return Status::OK();
+}
+
+Status NestOp::ProcessNestPartition(const std::string& path, int depth,
+                                    TaggedRows* out) {
   const size_t out_base = out->size();
-  ctx_->stats->spill_max_depth = std::max<uint64_t>(
-      ctx_->stats->spill_max_depth, static_cast<uint64_t>(depth) + 1);
+  NoteSpillDepth(ctx_, depth);
 
   // Group this partition in read order (= input order). The memory check is
   // live on the first pass: a trip with several distinct keys in sight means
@@ -147,140 +82,60 @@ Status NestOp::ProcessNestPartition(
   size_t keys_seen = 0;
   auto load_and_emit = [&](bool forced) -> Status {
     MemoryCheckSuspension suspend(forced ? ctx_->guard : nullptr);
-    std::unordered_map<Value, size_t, ValueHash, ValueEq> group_index;
-    std::vector<Value> keys;
-    std::vector<std::vector<Value>> groups;
-    std::vector<uint64_t> first_tag;
+    Grouper grouper(*this);
     GuardReservation slots;
     slots.Reset(ctx_->guard);
-    SpillReader reader(path, inj);
     Status load = [&]() -> Status {
-      TMDB_RETURN_IF_ERROR(reader.Open());
-      size_t i = 0;
-      while (true) {
-        std::string_view rec;
-        bool eof = false;
-        TMDB_RETURN_IF_ERROR(reader.Next(&rec, &eof));
-        if (eof) break;
-        if (reader.TookBlockBoundary()) {
-          TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-        }
-        TMDB_RETURN_IF_ERROR(PeriodicSpillGuardCheck(ctx_, i++));
-        size_t pos = 0;
-        uint64_t tag = 0;
-        Value key;
-        Value elem;
-        TMDB_RETURN_IF_ERROR(GetVarint(rec, &pos, &tag));
-        TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &key));
-        TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &elem));
-        TMDB_RETURN_IF_ERROR(slots.Add(2 * sizeof(Value)));
-        auto [it, inserted] = group_index.emplace(key, groups.size());
-        if (inserted) {
-          keys.push_back(std::move(key));
-          groups.emplace_back();
-          first_tag.push_back(tag);
-        }
-        if (!(null_group_to_empty_ && IsNullPadding(elem))) {
-          groups[it->second].push_back(std::move(elem));
-        }
-      }
+      TMDB_RETURN_IF_ERROR(
+          ScanSpillFile(ctx_, path, [&](std::string_view rec) -> Status {
+            size_t pos = 0;
+            uint64_t tag = 0;
+            Value key;
+            Value elem;
+            TMDB_RETURN_IF_ERROR(GetVarint(rec, &pos, &tag));
+            TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &key));
+            TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &elem));
+            TMDB_RETURN_IF_ERROR(slots.Add(2 * sizeof(Value)));
+            grouper.Add(tag, key, elem);
+            return Status::OK();
+          }));
       // Emit this partition's groups; the output rows are resident state
       // and charge the operator's main reservation.
-      for (size_t g = 0; g < keys.size(); ++g) {
-        TMDB_RETURN_IF_ERROR(PeriodicSpillGuardCheck(ctx_, g));
-        TMDB_ASSIGN_OR_RETURN(
-            Value row,
-            ExtendTuple(keys[g], label_, Value::Set(std::move(groups[g]))));
+      for (size_t g = 0; g < grouper.size(); ++g) {
+        TMDB_RETURN_IF_ERROR(PeriodicCheckGuard(ctx_, g));
+        TMDB_ASSIGN_OR_RETURN(Value row, grouper.Take(g));
         TMDB_RETURN_IF_ERROR(
             build_res_.Add(sizeof(std::pair<uint64_t, Value>)));
-        out->emplace_back(first_tag[g], std::move(row));
+        out->emplace_back(grouper.first_tag(g), std::move(row));
       }
       return Status::OK();
     }();
-    ctx_->stats->spill_bytes_read += reader.stats().bytes;
-    reader.Close();
-    keys_seen = group_index.size();  // partial on failure = keys at trip time
+    keys_seen = grouper.size();  // partial on failure = keys at trip time
     slots.Release();
     return load;
   };
 
   Status load = load_and_emit(/*forced=*/false);
   if (!load.ok()) {
-    const bool memory_trip =
-        load.code() == StatusCode::kResourceExhausted &&
-        ctx_->guard != nullptr && ctx_->guard->last_trip_was_memory();
-    if (!memory_trip) return load;
+    if (!SpillEligibleTrip(ctx_, load)) return load;
     // Drop this pass's partial output, refunding its charge; the spill file
     // is only removed on success, so the retry re-reads it cleanly.
     build_res_.Shrink((out->size() - out_base) *
                       sizeof(std::pair<uint64_t, Value>));
     out->resize(out_base);
     if (keys_seen > 1 && depth < kMaxSpillDepth) {
-      return RepartitionNest(path, depth, out);
+      SpillFan fan;
+      TMDB_RETURN_IF_ERROR(fan.Open(ctx_, "nest", depth + 1));
+      TMDB_RETURN_IF_ERROR(
+          RepartitionSpillFile(ctx_, path, /*tagged=*/true, &fan));
+      return GroupSpillFan(fan, out);
     }
     TMDB_RETURN_IF_ERROR(load_and_emit(/*forced=*/true));
   }
 
   // This partition is fully grouped; its file goes away now, not at query
   // end, so peak disk stays one recursion path, not the whole input.
-  mgr->RemoveFile(path);
-  return Status::OK();
-}
-
-Status NestOp::RepartitionNest(const std::string& path, int depth,
-                               std::vector<std::pair<uint64_t, Value>>* out) {
-  SpillManager* mgr = ctx_->spill;
-  FaultInjector* inj = SpillInjectorOf(ctx_);
-  std::vector<std::string> subparts(kSpillFanout);
-  {
-    MemoryCheckSuspension suspend(ctx_->guard);
-    std::vector<std::unique_ptr<SpillWriter>> writers(kSpillFanout);
-    for (size_t p = 0; p < kSpillFanout; ++p) {
-      TMDB_ASSIGN_OR_RETURN(
-          subparts[p], mgr->NewFilePath(StrCat("nest-d", depth + 1, "-p", p)));
-      writers[p] =
-          std::make_unique<SpillWriter>(subparts[p], mgr->block_bytes(), inj);
-      TMDB_RETURN_IF_ERROR(writers[p]->Open());
-    }
-    SpillReader reader(path, inj);
-    Status moved = [&]() -> Status {
-      TMDB_RETURN_IF_ERROR(reader.Open());
-      size_t i = 0;
-      while (true) {
-        std::string_view rec;
-        bool eof = false;
-        TMDB_RETURN_IF_ERROR(reader.Next(&rec, &eof));
-        if (eof) break;
-        if (reader.TookBlockBoundary()) TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-        TMDB_RETURN_IF_ERROR(PeriodicSpillGuardCheck(ctx_, i++));
-        // Route on the key alone; the record's bytes move verbatim, so read
-        // order stays input order all the way down the recursion.
-        size_t pos = 0;
-        uint64_t tag = 0;
-        Value key;
-        TMDB_RETURN_IF_ERROR(GetVarint(rec, &pos, &tag));
-        TMDB_RETURN_IF_ERROR(DecodeValue(rec, &pos, &key));
-        const size_t p = SpillPartitionOf(key.Hash(), depth + 1);
-        TMDB_RETURN_IF_ERROR(writers[p]->Append(rec));
-        if (writers[p]->TookBlockBoundary()) {
-          TMDB_RETURN_IF_ERROR(CheckGuard(ctx_));
-        }
-      }
-      return Status::OK();
-    }();
-    ctx_->stats->spill_bytes_read += reader.stats().bytes;
-    reader.Close();
-    TMDB_RETURN_IF_ERROR(moved);
-    for (size_t p = 0; p < kSpillFanout; ++p) {
-      TMDB_RETURN_IF_ERROR(writers[p]->Finish());
-      ctx_->stats->spill_bytes_written += writers[p]->stats().bytes;
-    }
-    ctx_->stats->spill_partitions += kSpillFanout;
-    mgr->RemoveFile(path);
-  }
-  for (size_t p = 0; p < kSpillFanout; ++p) {
-    TMDB_RETURN_IF_ERROR(ProcessNestPartition(subparts[p], depth + 1, out));
-  }
+  ctx_->spill->RemoveFile(path);
   return Status::OK();
 }
 

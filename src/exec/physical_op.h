@@ -15,11 +15,6 @@ namespace tmdb {
 class PhysicalOp;
 using PhysicalOpPtr = std::unique_ptr<PhysicalOp>;
 
-/// Default batch size used by the executor when draining a plan.
-inline constexpr size_t kExecBatchSize = 1024;
-static_assert((kExecBatchSize & (kExecBatchSize - 1)) == 0,
-              "periodic guard checks mask against kExecBatchSize");
-
 /// Volcano-style pull iterator over complex-object rows, one batch per
 /// call.
 ///

@@ -190,6 +190,13 @@ inline Status CheckGuard(const ExecContext* ctx) {
   return ctx->guard->Check();
 }
 
+/// CheckGuard once per kExecBatchSize iterations of a loop whose counter
+/// `i` counts up from 0: at i = 0, kExecBatchSize, 2·kExecBatchSize, …
+inline Status PeriodicCheckGuard(const ExecContext* ctx, size_t i) {
+  if ((i & (kExecBatchSize - 1)) == 0) return CheckGuard(ctx);
+  return Status::OK();
+}
+
 /// Tracks the bytes one operator has charged to a guard for materialised
 /// containers (build tables, sorted runs, grouped output). Charge with
 /// Add() as batches land; Release() in Close() and at re-Open. Deliberately

@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "base/hash.h"
+
 namespace tmdb {
 
 /// Partition fan-out per recursion level and the recursion bound, shared by
@@ -15,21 +17,13 @@ namespace tmdb {
 inline constexpr size_t kSpillFanout = 8;
 inline constexpr int kMaxSpillDepth = 6;
 
-/// SplitMix64 finaliser. Decorrelates the partition choice across recursion
-/// levels so a partition does not map onto itself one level down.
-inline uint64_t SpillMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 /// The partition of a key hash at recursion level `level` (level 0 is the
-/// first write-out).
+/// first write-out). The mix decorrelates the choice across levels, so a
+/// partition does not map onto itself one level down.
 inline size_t SpillPartitionOf(uint64_t key_hash, int level) {
   return static_cast<size_t>(
-      SpillMix64(key_hash +
-                 0x9e3779b97f4a7c15ull * static_cast<uint64_t>(level + 1)) %
+      Mix64(key_hash +
+            0x9e3779b97f4a7c15ull * static_cast<uint64_t>(level + 1)) %
       kSpillFanout);
 }
 

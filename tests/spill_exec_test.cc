@@ -324,9 +324,38 @@ class SpillNestTest : public ::testing::Test {
         /*null_group_to_empty=*/false));
   }
 
+  /// ν* over rows whose element is an all-NULL tuple for keys 30..39 (an
+  /// outerjoin's padding), so those groups come out empty.
+  PhysicalOpPtr MakePaddedNestStar() {
+    Random rng(99);
+    Result<std::shared_ptr<Table>> padded = Table::Create(
+        "P", Type::Tuple({{"id", Type::Int()},
+                          {"k", Type::Int()},
+                          {"p", Type::Tuple({{"q", Type::Int()}})}}));
+    EXPECT_TRUE(padded.ok()) << padded.status().ToString();
+    padded_ = *padded;
+    for (int i = 0; i < 12000; ++i) {
+      const int k = rng.UniformInt(0, 40);
+      const bool dangle = k >= 30;  // keys 30..39 carry only padding
+      EXPECT_TRUE(padded_
+                      ->Insert(Value::Tuple(
+                          {"id", "k", "p"},
+                          {Value::Int(i), Value::Int(k),
+                           Value::Tuple({"q"}, {dangle ? Value::Null()
+                                                       : Value::Int(i % 5)})}))
+                      .ok());
+    }
+    Expr row = Expr::Var("t", padded_->schema());
+    return PhysicalOpPtr(new NestOp(
+        PhysicalOpPtr(new TableScanOp(padded_)), {"k"}, "t",
+        Expr::Must(Expr::Field(row, "p")), "ps",
+        /*null_group_to_empty=*/true));
+  }
+
   static constexpr uint64_t kBudget = 128 << 10;
 
   std::shared_ptr<Table> table_;
+  std::shared_ptr<Table> padded_;
 };
 
 TEST_F(SpillNestTest, GroupingSpillsBitIdenticalSerialAndParallel) {
@@ -364,27 +393,7 @@ TEST_F(SpillNestTest, NuStarNullPaddingDroppedAcrossSpill) {
   // ν* variant: all-NULL padded elements (outerjoin dangles) must become
   // empty sets — not lost rows, not sets holding a null — even when the
   // grouping spills; the padding check runs on decoded spill records too.
-  Random rng(99);
-  TMDB_ASSERT_OK_AND_ASSIGN(
-      auto padded,
-      Table::Create("P",
-                    Type::Tuple({{"id", Type::Int()},
-                                 {"k", Type::Int()},
-                                 {"p", Type::Tuple({{"q", Type::Int()}})}})));
-  for (int i = 0; i < 12000; ++i) {
-    const int k = rng.UniformInt(0, 40);
-    const bool dangle = k >= 30;  // keys 30..39 carry only padding
-    TMDB_ASSERT_OK(padded->Insert(Value::Tuple(
-        {"id", "k", "p"},
-        {Value::Int(i), Value::Int(k),
-         Value::Tuple({"q"},
-                      {dangle ? Value::Null() : Value::Int(i % 5)})})));
-  }
-  Expr row = Expr::Var("t", padded->schema());
-  PhysicalOpPtr plan(new NestOp(
-      PhysicalOpPtr(new TableScanOp(padded)), {"k"}, "t",
-      Expr::Must(Expr::Field(row, "p")), "ps",
-      /*null_group_to_empty=*/true));
+  PhysicalOpPtr plan = MakePaddedNestStar();
 
   Executor reference(1);
   TMDB_ASSERT_OK_AND_ASSIGN(std::vector<Value> baseline,
@@ -428,6 +437,62 @@ TEST_F(SpillNestTest, SpillDisabledStillFailsFast) {
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted)
       << run.status().ToString();
+}
+
+// ------------------------------------------------------ spill layout pins
+
+/// The four spill counters of a serial run at a fixed budget. They follow
+/// from the partition files' labels, record layouts, write order and
+/// recursion points, so any change to how a join or ν partitions, encodes
+/// or repartitions its records moves at least one of them.
+struct SpillLayout {
+  uint64_t partitions;
+  uint64_t bytes_written;
+  uint64_t bytes_read;
+  uint64_t max_depth;
+};
+
+void ExpectSpillLayout(const ExecStats& stats, const SpillLayout& want) {
+  EXPECT_EQ(stats.spill_partitions, want.partitions) << stats.ToString();
+  EXPECT_EQ(stats.spill_bytes_written, want.bytes_written) << stats.ToString();
+  EXPECT_EQ(stats.spill_bytes_read, want.bytes_read) << stats.ToString();
+  EXPECT_EQ(stats.spill_max_depth, want.max_depth) << stats.ToString();
+}
+
+/// Runs `plan` serially at `budget` with spilling on and returns its stats.
+ExecStats RunSerialSpilled(PhysicalOp* plan, uint64_t budget,
+                           const std::string& name) {
+  const std::string base = MakeSpillBase(name);
+  Executor executor(1);
+  GuardLimits limits;
+  limits.memory_budget_bytes = budget;
+  executor.set_limits(limits);
+  executor.set_spill_options(true, base, /*block_bytes=*/4096);
+  Result<std::vector<Value>> rows = executor.RunPhysical(plan);
+  EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_TRUE(SpillBaseEmpty(base));
+  fs::remove_all(base);
+  return executor.stats();
+}
+
+TEST_F(SpillJoinTest, TwoLevelGraceNestJoinLayoutIsPinned) {
+  // Level-0 partitions overflow 160 KiB and repartition twice.
+  PhysicalOpPtr plan = MakeJoin(JoinMode::kNestJoin);
+  ExpectSpillLayout(
+      RunSerialSpilled(plan.get(), 160 << 10, "pin-grace-nestjoin"),
+      {.partitions = 96,
+       .bytes_written = 2325876,
+       .bytes_read = 2562654,
+       .max_depth = 3});
+}
+
+TEST_F(SpillNestTest, NuStarGroupSpillLayoutIsPinned) {
+  PhysicalOpPtr plan = MakePaddedNestStar();
+  ExpectSpillLayout(RunSerialSpilled(plan.get(), kBudget, "pin-nustar"),
+                    {.partitions = 120,
+                     .bytes_written = 416393,
+                     .bytes_read = 607539,
+                     .max_depth = 3});
 }
 
 // --------------------------------------------------- I/O fault injection
@@ -798,6 +863,37 @@ TEST_F(SpillSemanticsTest, OuterJoinNuStarGroupingSpillsExactly) {
   naive.strategy = Strategy::kNaive;
   TMDB_ASSERT_OK_AND_ASSIGN(QueryResult truth, db.Run(query, naive));
   EXPECT_TRUE(RowsEqual(reference.rows, truth.rows));
+  fs::remove_all(base);
+}
+
+TEST_F(SpillSemanticsTest, MorselProbeFitsTheSerialBudget) {
+  // The Table-1 group-count query at a budget the serial run meets without
+  // spilling. The morsel probe holds one left batch's rows and output at a
+  // time, as the serial probe holds one row's, so every thread count and
+  // both columnar settings must complete with the unbudgeted rows.
+  Database db;
+  ScaleConfig config;
+  config.num_x = 2000;
+  config.num_y = 4000;
+  config.b_domain = 250;
+  TMDB_ASSERT_OK(LoadScaleTables(&db, config));
+  const std::string query =
+      "SELECT (a = x.a, n = count(SELECT y.c FROM Y y WHERE x.b = y.b)) "
+      "FROM X x";
+  TMDB_ASSERT_OK_AND_ASSIGN(QueryResult unbudgeted,
+                            db.Run(query, Opts(0, false, 1, "")));
+  const std::string base = MakeSpillBase("morsel-probe");
+  for (int threads : {1, 2, 4}) {
+    for (bool columnar : {true, false}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   (columnar ? "/columnar" : "/rows"));
+      RunOptions opts = Opts(1536 << 10, true, threads, base);
+      opts.enable_columnar = columnar;
+      TMDB_ASSERT_OK_AND_ASSIGN(QueryResult run, db.Run(query, opts));
+      EXPECT_TRUE(BitIdentical(run.rows, unbudgeted.rows));
+      EXPECT_TRUE(SpillBaseEmpty(base));
+    }
+  }
   fs::remove_all(base);
 }
 
