@@ -45,6 +45,9 @@ SANITIZER_SUITES=(
   spill_exec_test
   subplan_cache_test
   columnar_exec_test
+  # budget_fastpath_test runs raw- and composite-key joins over a budget
+  # ladder at threads 1 and 4: morsel probes against a live memory guard.
+  budget_fastpath_test
   differential_exec_test
   # cost_model_test covers the strategy = auto paths: sampling under the
   # guard, the adaptive controller's cross-thread Observe, and the

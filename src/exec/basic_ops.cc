@@ -127,9 +127,7 @@ Status FilterOp::Open(ExecContext* ctx) {
   // sites) away from the row path whose degradation behaviour is the
   // contract. Budgeted runs take the row path; everything else is faster
   // AND bit-identical.
-  const bool budgeted = ctx->guard != nullptr &&
-                        ctx->guard->limits().memory_budget_bytes != 0;
-  if (!budgeted && cpred_.has_value() && child_->columnar_ready()) {
+  if (!Budgeted(ctx) && cpred_.has_value() && child_->columnar_ready()) {
     const ColumnStore* store = child_->columnar_source();
     if (store != nullptr && cpred_->Matches(*store)) {
       arena_.Bind(ctx->guard);

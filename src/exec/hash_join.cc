@@ -28,10 +28,11 @@ Status HashJoinOp::Open(ExecContext* ctx) {
 
   TMDB_RETURN_IF_ERROR(DrainAndBuild(ctx));
   // Nest-join group memo: re-probing an already-grouped key hands back the
-  // same set value. Serial only (no shared mutation under morsels) and only
-  // with raw keys, which never run under a memory budget — memoised groups
-  // are memory a budgeted run does not hold, and must not shift its trips.
-  memo_enabled_ = table_.kind != Table::Kind::kValue &&
+  // same set value. Raw keys only (the group id is a raw chain position),
+  // serial only (no shared mutation under morsels) and unbudgeted only: the
+  // memoised groups are uncharged memory, which must not shift a budgeted
+  // run's trips.
+  memo_enabled_ = table_.kind != Table::Kind::kValue && !Budgeted(ctx) &&
                   spec_.mode == JoinMode::kNestJoin &&
                   matcher_.pred_is_true() && matcher_.func_is_right_ident() &&
                   !ctx->parallel_enabled();
@@ -100,13 +101,14 @@ Status HashJoinOp::BuildTable(ExecContext* ctx, std::vector<Value>* rows) {
   t.res.Reset(ctx->guard);
   const size_t n = rows->size();
 
-  // Raw keys stand down under a memory budget: their arrays and the
-  // nest-join memo change the memory profile through the probe, which
-  // would turn budget trips the composite keys survive (by spilling during
-  // the build) into probe-phase failures.
-  const bool budgeted = ctx->guard != nullptr &&
-                        ctx->guard->limits().memory_budget_bytes != 0;
-  if (fast_spec_.has_value() && !budgeted) {
+  // Raw keys stand down where the build can spill (a budget with spill
+  // on): their smaller table can pass a build that composite keys would
+  // have spilled, moving the trip to the probe, which cannot spill.
+  // Without spill a trip fails the query wherever it happens, and the raw
+  // table charges less than the composite one at every checkpoint, so a
+  // budget alone keeps the raw keys.
+  const bool spillable = Budgeted(ctx) && ctx->spill != nullptr;
+  if (fast_spec_.has_value() && !spillable) {
     const FastKeySpec& spec = *fast_spec_;
     TMDB_RETURN_IF_ERROR(t.res.Add(n * sizeof(uint64_t)));
     t.raw.resize(n);
@@ -129,7 +131,13 @@ Status HashJoinOp::BuildTable(ExecContext* ctx, std::vector<Value>* rows) {
           break;
         case FastKeySpec::Kind::kStr:
           conforms = v != nullptr && v->is_string();
-          if (conforms) t.raw[i] = t.dict.Intern(*v);
+          if (conforms) {
+            const size_t distinct = t.dict.size();
+            t.raw[i] = t.dict.Intern(*v);
+            if (t.dict.size() != distinct) {
+              TMDB_RETURN_IF_ERROR(t.res.Charge(StringDict::kEntryBytes));
+            }
+          }
           break;
       }
     }
@@ -145,7 +153,8 @@ Status HashJoinOp::BuildTable(ExecContext* ctx, std::vector<Value>* rows) {
       // A build key deviated from the static kind contract (NULL, coerced
       // Int in a Real field, NaN): composite keys handle every kind
       // combination.
-      t.res.Shrink(n * sizeof(uint64_t));
+      t.res.Shrink(n * sizeof(uint64_t) +
+                   t.dict.size() * StringDict::kEntryBytes);
       t.raw = std::vector<uint64_t>();
       t.dict = StringDict();
     }

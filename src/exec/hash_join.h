@@ -31,8 +31,11 @@ namespace tmdb {
 /// rows in input order with one key per row, linked into power-of-two
 /// hash chains in ascending row order, so a probe sees its matches in
 /// build-input order. The key is raw (i64 / f64 / string dictionary code)
-/// when a FastKeySpec resolves and the run has no memory budget, and the
-/// composite key Value otherwise.
+/// when a FastKeySpec resolves, unless the build can spill (a memory budget
+/// with ExecContext::spill set), and the composite key Value otherwise. A
+/// budget without spill keeps the raw keys: a trip fails the query either
+/// way, and the raw table, dictionary included, is charged to the guard
+/// and charges less than the composite one.
 ///
 /// With ExecContext::parallel_enabled(), the composite build keys and
 /// their hashes are evaluated in morsels, and the probe side is probed one
@@ -101,7 +104,7 @@ class HashJoinOp final : public PhysicalOp {
     std::vector<uint32_t> heads;
     std::vector<uint32_t> next;
     uint64_t mask = 0;
-    GuardReservation res;  // key, head and next arrays
+    GuardReservation res;  // key, dictionary, head and next arrays
 
     /// Hash of row i's key.
     uint64_t RowHash(size_t i) const;
@@ -180,10 +183,10 @@ class HashJoinOp final : public PhysicalOp {
   GuardReservation build_res_;
 
   // Nest-join group memo: first-matching-build-row id → (group set, match
-  // count). Only enabled with raw keys (hence no memory budget), serial,
-  // literal-true pred and identity G, so it cannot race or shift budget
-  // behaviour; hits add the recorded match count to predicate_evals,
-  // mirroring re-evaluation.
+  // count). Only enabled with raw keys, no memory budget (its groups are
+  // uncharged), serial, literal-true pred and identity G, so it cannot race
+  // or shift budget behaviour; hits add the recorded match count to
+  // predicate_evals, mirroring re-evaluation.
   bool memo_enabled_ = false;
   mutable std::unordered_map<uint32_t, std::pair<Value, uint64_t>> memo_;
 };

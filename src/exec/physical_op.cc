@@ -41,15 +41,20 @@ Result<ColumnBatch> PhysicalOp::NextColumnBatch() {
 void BatchReader::Reset() {
   batch_.clear();
   pos_ = 0;
+  done_ = false;
 }
 
 Result<Value*> BatchReader::Read(PhysicalOp* child, ExecContext* ctx) {
   if (pos_ == batch_.size()) {
+    if (done_) return nullptr;
     batch_.clear();
     pos_ = 0;
     TMDB_RETURN_IF_ERROR(CheckGuard(ctx));
     TMDB_ASSIGN_OR_RETURN(size_t got, child->NextBatch(&batch_, kExecBatchSize));
-    if (got == 0) return nullptr;
+    if (got == 0) {
+      done_ = true;
+      return nullptr;
+    }
   }
   return &batch_[pos_++];
 }

@@ -70,10 +70,12 @@ class PhysicalOp {
 /// Row-at-a-time view of a child's NextBatch stream, for operators that
 /// consume their input one row at a time (the hash and nested-loop joins'
 /// probe side, μ). Each refill pulls kExecBatchSize rows behind one guard
-/// checkpoint.
+/// checkpoint. Once the child reports end of input, later reads return
+/// nullptr without another checkpoint or pull.
 class BatchReader {
  public:
-  /// Forgets any buffered rows (call from the owner's Open and Close).
+  /// Forgets any buffered rows and the end of input (call from the owner's
+  /// Open and Close).
   void Reset();
   /// The next input row, or nullptr at end of stream. The row stays valid,
   /// and may be moved from, until the next call.
@@ -82,6 +84,7 @@ class BatchReader {
  private:
   std::vector<Value> batch_;
   size_t pos_ = 0;
+  bool done_ = false;
 };
 
 /// Runs a physical plan to completion and collects its rows (in emission

@@ -190,6 +190,12 @@ inline Status CheckGuard(const ExecContext* ctx) {
   return ctx->guard->Check();
 }
 
+/// True when `ctx` runs under a memory budget.
+inline bool Budgeted(const ExecContext* ctx) {
+  return ctx->guard != nullptr &&
+         ctx->guard->limits().memory_budget_bytes != 0;
+}
+
 /// CheckGuard once per kExecBatchSize iterations of a loop whose counter
 /// `i` counts up from 0: at i = 0, kExecBatchSize, 2·kExecBatchSize, …
 inline Status PeriodicCheckGuard(const ExecContext* ctx, size_t i) {

@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "types/type.h"
@@ -27,6 +28,12 @@ enum class ColumnKind { kInt64, kFloat64, kBool, kString };
 class StringDict {
  public:
   static constexpr uint32_t kNoCode = 0xffffffffu;
+  /// Heap bytes one interned string adds, for budget charging: its
+  /// `values_` slot, its map node (key, code, link, cached hash) and a
+  /// bucket pointer. The string itself is shared with the interned Value.
+  static constexpr size_t kEntryBytes =
+      sizeof(Value) + sizeof(std::pair<const Value, uint32_t>) +
+      3 * sizeof(void*);
 
   /// Interns a string value, returning its (possibly fresh) code.
   uint32_t Intern(const Value& v) {

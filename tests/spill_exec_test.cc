@@ -35,6 +35,7 @@ namespace tmdb {
 namespace {
 
 namespace fs = std::filesystem;
+using testutil::BitIdentical;
 using testutil::IntRow;
 using testutil::RowsEqual;
 
@@ -52,25 +53,6 @@ std::string MakeSpillBase(const std::string& name) {
   for (const auto& entry : fs::directory_iterator(base)) {
     return ::testing::AssertionFailure()
            << "leaked spill artefact: " << entry.path().string();
-  }
-  return ::testing::AssertionSuccess();
-}
-
-/// Exact-sequence equality — the spill path must reproduce the in-memory
-/// output bit for bit, order included.
-::testing::AssertionResult BitIdentical(const std::vector<Value>& actual,
-                                        const std::vector<Value>& expected) {
-  if (actual.size() != expected.size()) {
-    return ::testing::AssertionFailure()
-           << "row counts differ: " << actual.size() << " vs "
-           << expected.size();
-  }
-  for (size_t i = 0; i < actual.size(); ++i) {
-    if (!actual[i].Equals(expected[i])) {
-      return ::testing::AssertionFailure()
-             << "row " << i << " differs: " << actual[i].ToString() << " vs "
-             << expected[i].ToString();
-    }
   }
   return ::testing::AssertionSuccess();
 }

@@ -92,6 +92,24 @@ inline ::testing::AssertionResult RowsEqual(std::vector<Value> actual,
          << "\nexpected = " << render(expected);
 }
 
+/// Exact-sequence equality: same rows in the same order.
+inline ::testing::AssertionResult BitIdentical(
+    const std::vector<Value>& actual, const std::vector<Value>& expected) {
+  if (actual.size() != expected.size()) {
+    return ::testing::AssertionFailure()
+           << "row counts differ: " << actual.size() << " vs "
+           << expected.size();
+  }
+  for (size_t i = 0; i < actual.size(); ++i) {
+    if (!actual[i].Equals(expected[i])) {
+      return ::testing::AssertionFailure()
+             << "row " << i << " differs: " << actual[i].ToString() << " vs "
+             << expected[i].ToString();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 /// Equality of the work counters (StatKind::kWork in the counter table).
 /// Telemetry is exempt: where guard checkpoints fall depends on the path
 /// and the batch size, and the strategy and scheduler counters on the run.
